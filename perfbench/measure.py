@@ -1,12 +1,13 @@
-"""Operation records, quantiles and the probe-interleaved batch loop."""
+"""Operation records, quantiles, the set-up timer and the probed batch loop."""
 
 from __future__ import annotations
 
+import gc
 import math
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from clock import HostClock
 from tracer import Tracer
@@ -70,6 +71,40 @@ def breakdown(records: Sequence[OpRecord]) -> Dict[str, Dict[str, float]]:
         }
         for klass, values in sorted(classes.items())
     }
+
+
+class SetupTimer:
+    """Times one set-up as a run of steps, with a probe after each step.
+
+    A set-up of seconds spans host-speed changes that probes at its two
+    ends would miss, so each step is normalised with the probes around
+    it.  The probes are not part of the set-up's time.  The heap is
+    collected first, so that a set-up never pays for collecting garbage
+    the benchmark or an earlier set-up left; the caller drops what the
+    earlier set-up built before making the timer.
+    """
+
+    def __init__(self, host: HostClock) -> None:
+        self.host = host
+        self.steps: List[Tuple[float, float]] = []
+        gc.collect()
+        host.probe()
+        host.probe()
+
+    def __call__(self, step: Callable[[], Any]) -> Any:
+        """Run one step, time it, probe; returns the step's result."""
+        t0 = time.perf_counter()
+        result = step()
+        self.steps.append((t0, time.perf_counter()))
+        self.host.probe()
+        return result
+
+    def normalised_s(self) -> float:
+        """Reference seconds; call once later probes exist."""
+        return sum(self.host.normalised(t0, t1) for t0, t1 in self.steps)
+
+    def wall_s(self) -> float:
+        return sum(t1 - t0 for t0, t1 in self.steps)
 
 
 def run_batch(

@@ -27,7 +27,6 @@ import resource
 import shutil
 import statistics
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -44,6 +43,8 @@ END_TO_END_UNITS = {
 }
 #: Every run has at least this many operations, so ten lie beyond p90.
 MIN_OPS = 100
+#: Set-ups per untraced run; ``serve`` sets up once per pass and runs at
+#: least this many passes.
 SETUP_REPEATS = {"truth": 5, "topk": 5, "serve": 3}
 
 
@@ -203,7 +204,7 @@ def run_batch_workload(args: argparse.Namespace, work: Path, host: Any) -> Outco
     import batch
     import inputs
     from layers import empty_service_metrics, unattributed_frac
-    from measure import breakdown, run_batch
+    from measure import SetupTimer, breakdown, run_batch
     from tracer import Tracer
 
     if args.workload == "truth":
@@ -224,18 +225,14 @@ def run_batch_workload(args: argparse.Namespace, work: Path, host: Any) -> Outco
     outcome.inputs = inputs.digest(files)
 
     repeats = 1 if args.trace else SETUP_REPEATS[args.workload]
-    setups = []
-    pairs = None
-    host.probe()
+    timers = []
     for _ in range(repeats):
-        host.probe()
-        t0 = time.perf_counter()
-        pairs = batch.setup(files)
-        setups.append((t0, time.perf_counter()))
-        host.probe()
-    host.probe()
-    setup_norm = [host.normalised(t0, t1) for t0, t1 in setups]
-    setup_walls = [t1 - t0 for t0, t1 in setups]
+        pairs = None  # the timer's collection frees it, off the set-up's time
+        # One step: the set-up takes under a fifth of a second, far less
+        # than the seconds over which the host's speed drifts.
+        timer = SetupTimer(host)
+        pairs = timer(lambda: batch.setup(files))
+        timers.append(timer)
 
     jobs = jobs_of(files, args.seed)
     if args.trace:
@@ -260,6 +257,8 @@ def run_batch_workload(args: argparse.Namespace, work: Path, host: Any) -> Outco
                             min_ops=MIN_OPS)
         traced = []
 
+    setup_norm = [timer.normalised_s() for timer in timers]
+    setup_walls = [timer.wall_s() for timer in timers]
     by_id = {}
     firsts: Dict[str, Any] = {}
     for rec in records + traced:
@@ -310,7 +309,7 @@ def run_serve(args: argparse.Namespace, work: Path, host: Any) -> Outcome:
     import inputs
     import serve
     from layers import service_metrics, unattributed_frac
-    from measure import breakdown, run_batch
+    from measure import SetupTimer, breakdown, run_batch
     from repro.datasets import io
     from tracer import Tracer
 
@@ -322,51 +321,67 @@ def run_serve(args: argparse.Namespace, work: Path, host: Any) -> Outcome:
     stream = files[0].path
     jobs = serve.request_jobs(args.seed, serve.node_pool(stream),
                               io.read_edge_stream(stream).num_events)
+    loop = asyncio.new_event_loop()
 
-    def serve_pass(tag: str, repeats: int, tracer: Any = None) -> tuple:
-        """Set up ``repeats`` times; after each set-up, send every request."""
-        loop = asyncio.new_event_loop()
-        intervals, records, verdicts = [], [], {}
+    def serve_pass(tag: str, tracer: Any = None) -> tuple:
+        """One set-up, then every request the stream has windows for."""
+        if tracer is not None:
+            tracer.install()
         try:
-            for rep in range(repeats):
-                if tracer is not None:
-                    tracer.install()
-                try:
-                    host.probe()
-                    hosted = loop.run_until_complete(serve.start(
-                        stream, work / f"wal-{tag}-{rep}", f"svc-{tag}-{rep}.sock",
-                        tracer,
-                    ))
-                    intervals.append((hosted.t0, hosted.t1))
-                    records += run_batch(
-                        iter(jobs), lambda j: serve.execute(loop, hosted, j),
-                        # Every pass sends the whole list: its length is set
-                        # by the stream, not by --seconds.
-                        host, round_ops=len(jobs), target_s=None, tracer=tracer,
-                    )
-                finally:
-                    if tracer is not None:
-                        tracer.uninstall()
-                final = serve.final_answers(loop, hosted, jobs)
-                loop.run_until_complete(serve.stop(hosted))
-                for key, ok in serve.verify(stream, hosted.wal_dir, final).items():
-                    verdicts[f"{rep}:{key}"] = ok
+            timer = SetupTimer(host)
+            span = tracer.open("setup", "bench.op", op="setup") if tracer else None
+            hosted = serve.set_up(loop, stream, work / f"wal-{tag}",
+                                  f"svc-{tag}.sock", timer)
+            if span is not None:
+                tracer.close(span)
+            records = run_batch(
+                iter(jobs), lambda j: serve.execute(loop, hosted, j),
+                host, round_ops=len(jobs), target_s=None, tracer=tracer,
+            )
         finally:
-            loop.close()
-        counters = hosted.service.counters.to_payload()
-        return intervals, records, final, verdicts, counters
+            if tracer is not None:
+                tracer.uninstall()
+        final = serve.final_answers(loop, hosted, jobs)
+        loop.run_until_complete(serve.stop(hosted))
+        verdicts = serve.verify(stream, hosted.wal_dir, final)
+        return (timer, records, final, verdicts,
+                hosted.service.counters.to_payload())
 
-    repeats = 1 if args.trace else SETUP_REPEATS["serve"]
-    intervals, records, final, verdicts, counters = serve_pass("main", repeats)
+    timers, records, verdicts = [], [], {}
+    try:
+        # Whole passes, as the batch workloads run whole rounds: stop once
+        # the next pass would end more than half a pass past --seconds.
+        while True:
+            timer, pass_records, final, checks, counters = serve_pass(
+                f"p{len(timers)}"
+            )
+            timers.append(timer)
+            records += pass_records
+            verdicts.update({f"{len(timers)}:{key}": ok
+                             for key, ok in checks.items()})
+            elapsed = sum(r.norm_s for r in records)
+            if args.trace or (
+                len(timers) >= SETUP_REPEATS["serve"]
+                and elapsed + 0.5 * elapsed / len(timers) >= args.seconds
+            ):
+                break
+        if args.trace:
+            tracer = Tracer()
+            _, traced, traced_final, traced_verdicts, traced_counters = (
+                serve_pass("traced", tracer)
+            )
+    finally:
+        loop.close()
     outcome.attempted = len(records) + len(verdicts)
     outcome.failed = sum(1 for r in records if not r.ok)
     outcome.failed += sum(1 for ok in verdicts.values() if not ok)
-    setup_norm = [host.normalised(t0, t1) for t0, t1 in intervals]
-    setup_walls = [t1 - t0 for t0, t1 in intervals]
+    setup_norm = [timer.normalised_s() for timer in timers]
+    setup_walls = [timer.wall_s() for timer in timers]
     end_to_end(outcome, setup_norm, records)
     outcome.breakdown = breakdown(records)
     outcome.diagnostics = {
         "ops": len(records),
+        "passes": len(timers),
         "wall_latency_ms": statistics.median(r.wall_s for r in records) * 1000.0,
         "wall_setup_s": statistics.median(setup_walls),
         "setup_s_each": setup_norm,
@@ -374,10 +389,6 @@ def run_serve(args: argparse.Namespace, work: Path, host: Any) -> Outcome:
         "trace_mismatches": 0,
     }
     if args.trace:
-        tracer = Tracer()
-        _, traced, traced_final, traced_verdicts, traced_counters = serve_pass(
-            "traced", 1, tracer
-        )
         mismatched = sum(
             1 for key, served in final.items() if traced_final.get(key) != served
         )

@@ -4,10 +4,10 @@ The same :class:`~repro.service.ConvergenceService` that ``repro serve``
 runs is hosted in this process on a UNIX socket, over a facebook-regime
 stream whose windows are scored by Algorithm 1 (MMSD, m=20).  Set-up
 reads the stream, advances through its first part with
-``StreamRuntime.run`` (WAL, windows, checkpoints) and binds the
-listener.  The client is a coroutine on the service's own event loop:
-one connection, one request at a time, and the probe after each
-response, as in the batch workloads.
+``StreamRuntime.run`` (WAL, windows, checkpoints) one window per step,
+and binds the listener.  The client is a coroutine on the service's own
+event loop: one connection, one request at a time, and the probe after
+each response, as in the batch workloads.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from inputs import derive_seed
 from measure import Job
-from tracer import Tracer
 
 SERVE_REGIME, SERVE_SCALE = "facebook", 0.4
 #: ``repro advance``/``serve`` flags: --k 10 --batch-size 8
@@ -49,8 +47,6 @@ class Hosted:
     service: Any
     task: "asyncio.Task[None]"
     wal_dir: Path
-    t0: float
-    t1: float
     reader: Optional[asyncio.StreamReader] = None
     writer: Optional[asyncio.StreamWriter] = None
 
@@ -97,25 +93,31 @@ def request_line(request_id: str, verb: str, args: Dict[str, Any]) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
-async def start(
-    stream: Path, wal_dir: Path, socket: str, tracer: Optional[Tracer] = None
+def set_up(
+    loop: asyncio.AbstractEventLoop, stream: Path, wal_dir: Path, socket: str,
+    step: Callable[[Callable[[], Any]], Any],
 ) -> Hosted:
-    """Set-up: read the stream, advance its first part, bind the listener."""
+    """Set-up in ``step``-timed steps: read the stream into a runtime,
+    advance it one window per step, then bind the listener and connect."""
     from repro.datasets import io
     from repro.runtime import engine
+
+    runtime = step(lambda: engine.StreamRuntime(
+        io.read_edge_stream(stream), wal_dir, runtime_config()
+    ))
+    for _ in range(SETUP_WINDOWS):
+        step(lambda: runtime.run(max_batches=CONFIG["checkpoint_every"]))
+    return step(lambda: loop.run_until_complete(listen(runtime, wal_dir, socket)))
+
+
+async def listen(runtime: Any, wal_dir: Path, socket: str) -> Hosted:
+    """Host the service over ``runtime`` on ``socket`` and connect to it."""
     from repro.service import server
 
-    t0 = time.perf_counter()
-    span = tracer.open("setup", "bench.op", op="setup") if tracer else None
-    temporal = io.read_edge_stream(stream)
-    runtime = engine.StreamRuntime(temporal, wal_dir, runtime_config())
-    runtime.run(max_batches=SETUP_WINDOWS * CONFIG["checkpoint_every"])
     service = server.ConvergenceService(
         runtime, capacity=CAPACITY,
         advance_batches=CONFIG["checkpoint_every"],
     )
-    if span is not None:
-        tracer.close(span)
     ready = asyncio.Event()
     task = asyncio.get_running_loop().create_task(service.serve(
         ("unix", socket), ready=lambda _bound: ready.set(),
@@ -129,7 +131,7 @@ async def start(
         ready_wait.cancel()
         task.result()  # raises the bind error
         raise RuntimeError("service stopped before it was ready")
-    hosted = Hosted(service, task, wal_dir, t0, time.perf_counter())
+    hosted = Hosted(service, task, wal_dir)
     hosted.reader, hosted.writer = await asyncio.open_unix_connection(socket)
     return hosted
 

@@ -335,15 +335,13 @@ class Tracer:
             return result
         return wrapper
 
-    def install(self, points: Optional[List[EntryPoint]] = None) -> None:
-        """Wrap every entry point (default: all of them plus selectors)."""
+    def install(self) -> None:
+        """Wrap every entry point and every selector's ``select``."""
         if self._patches:
             raise RuntimeError("tracer is already installed")
         preload()
-        if points is None:
-            points = list(ENTRY_POINTS) + selector_entry_points()
         try:
-            for point in points:
+            for point in list(ENTRY_POINTS) + selector_entry_points():
                 self._install_one(point)
         except BaseException:
             self.uninstall()
