@@ -17,7 +17,9 @@ the budget tests assert this against Table 1's per-approach split.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Dict, Hashable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING,
+)
 
 import numpy as np
 
@@ -234,71 +236,25 @@ def _score_candidates_dict(
     return scored
 
 
-def _csr_rows_task(
-    spec: "Tuple[int, int]",
-) -> "Tuple[Optional[np.ndarray], Optional[np.ndarray]]":
-    """Worker task: fresh level rows for one candidate (CSR path).
-
-    ``spec`` is ``(i1, i2)`` — the candidate's index in each snapshot's
-    CSR view, or ``-1`` for a row the selector already cached (free).
-    The worker state carries one :class:`SnapshotDelta` shipped once per
-    pool; when both rows are fresh the t2 row is an incremental repair
-    of the t1 traversal rather than a second traversal (bit-identical
-    either way).  A candidate whose t1 row is cached in the parent has
-    no level array here to repair from, so its t2 row falls back to a
-    full traversal — the worst-case path documented in docs/perf.md.
-    """
-    i1, i2 = spec
-    from repro.graph.csr import bfs_levels
-    from repro.graph.incremental import repair_levels
-    from repro.graph.prune import source_bound
-
-    state = worker_state()
-    delta = state["delta"]
-    plan = state.get("plan")
-    lv1 = None
-    lv2 = None
-    if i1 >= 0:
-        # reprolint: disable=R004 -- charged in the parent's scoring loop before dispatch (ledger stays in-parent)
-        raw1 = bfs_levels(delta.csr1, i1)
-        lv1 = raw1.astype(np.int64)
-        if i2 >= 0:
-            # Static Δ ≥ 1 prune: rows are precomputed before scoring,
-            # so no running k-th Δ exists yet — only the always-sound
-            # "no converging pair at all" bound applies.  The returned
-            # row differs from the exact one only where Δ would be ≤ 0,
-            # which scoring discards, so the result is unchanged.
-            if plan is not None and source_bound(raw1, plan) < 1:
-                lv2 = lv1
-            elif plan is not None:
-                # reprolint: disable=R004 -- the repaired t2 row is the second half of the candidate's SSSP pair, charged in-parent
-                lv2 = repair_levels(
-                    delta, raw1, max_level=int(raw1.max()) - 1
-                )[delta.mapping].astype(np.int64)
-            else:
-                # reprolint: disable=R004 -- the repaired t2 row is the second half of the candidate's SSSP pair, charged in-parent
-                lv2 = repair_levels(delta, raw1)[delta.mapping].astype(
-                    np.int64
-                )
-    if i2 >= 0 and lv2 is None:
-        # reprolint: disable=R004 -- charged in the parent's scoring loop before dispatch (ledger stays in-parent)
-        lv2 = bfs_levels(delta.csr2, i2)[delta.mapping].astype(np.int64)
-    return lv1, lv2
-
-
 def _csr_rows_batch_task(
     batch: "Sequence[Tuple[int, int]]",
 ) -> "List[Tuple[Optional[np.ndarray], Optional[np.ndarray]]]":
     """Worker task: fresh level rows for a batch of candidates (CSR path).
 
-    Per-spec semantics are exactly :func:`_csr_rows_task`'s — same
-    static Δ ≥ 1 prune, same incremental repair, same cached-row
-    fallbacks — but the independent traversals are advanced together by
-    the bit-parallel multi-source kernel: one msbfs block for the
-    batch's fresh t1 rows, one for its cached-t1 → full-t2 fallbacks.
-    The repairs stay per-source (each consumes its own t1 row).  Budget
-    note: batching never changes what is charged — each spec is still
-    one SSSP result per fresh row, charged in-parent.
+    Each spec is ``(i1, i2)`` — the candidate's index in each snapshot's
+    CSR view, or ``-1`` for a row the selector already cached (free).
+    The worker state carries one :class:`SnapshotDelta` (and, under
+    ``prune``, a :class:`PrunePlan`) shipped once per pool.  The batch's
+    fresh t1 rows come from one bit-parallel msbfs block.  When both
+    rows are fresh the t2 row is an incremental repair of the t1 row
+    (bit-identical to a full traversal); a plan applies the static
+    Δ ≥ 1 bound, since rows are precomputed before any scoring and no
+    running k-th Δ exists yet — the returned row differs from the exact
+    one only where Δ would be ≤ 0, which scoring discards.  A candidate
+    whose t1 row is cached in the parent has no level array here to
+    repair from, so its t2 row comes from a second msbfs block of full
+    traversals.  Budget note: batching never changes what is charged —
+    each spec is still one SSSP result per fresh row, charged in-parent.
     """
     from repro.graph.incremental import repair_levels
     from repro.graph.msbfs import msbfs_levels
@@ -356,18 +312,29 @@ def _score_candidates_csr(
     Distance rows — cached dicts from the selector or freshly charged
     CSR BFS runs — are held as level arrays aligned to ``G_t1``'s node
     order, and each candidate's Δ vector is a single numpy subtraction.
-    A candidate needing both rows pays one t1 traversal plus an
+    Fresh t1 rows come from the bit-parallel multi-source BFS
+    (:mod:`repro.graph.msbfs`), up to 64 candidates per sweep.  A
+    candidate needing both rows pays that t1 traversal plus an
     incremental repair into the t2 row (:mod:`repro.graph.incremental`)
     through a :class:`SnapshotDelta` built once per run; a candidate
     whose t1 row came cached from the selector falls back to a full t2
     traversal.  The budget accounting is identical to the dict path
     either way: a cached row is free, a missing one is charged to
-    ``topk`` on its snapshot — the repair is an implementation detail of
-    *computing* the charged t2 row, never a way to skip its charge.
-    With ``workers > 1`` the fresh rows are computed by a process pool
-    first (the delta ships to each worker once, via the pool
-    initializer); charging and scoring stay in the parent, in candidate
-    order.
+    ``topk`` on its snapshot, one record per row in candidate order —
+    the repair is an implementation detail of *computing* the charged
+    t2 row, never a way to skip its charge.  With ``workers > 1`` the
+    fresh rows are computed by a process pool first (the delta ships to
+    each worker once, via the pool initializer); charging and scoring
+    stay in the parent, in candidate order.
+
+    Each candidate's positive-Δ hits stay numpy arrays; a pair of two
+    candidates keeps the sighting of whichever comes first, exactly as
+    the dict path does.  The returned map then holds only the pairs
+    whose Δ reaches the ``k``-th largest over all scored pairs (every
+    pair for ``k=0``), in candidate-then-index order.  Every dropped
+    pair sorts after all of them, so the caller's stable ``sort_key``
+    sort and ``[:k]`` return the same list, ties at the k-th Δ
+    included.
 
     ``prune=True`` (with ``k``, the number of pairs the caller will
     keep) turns on Δ-aware pruning from :mod:`repro.graph.prune`.
@@ -383,6 +350,7 @@ def _score_candidates_csr(
     """
     from repro.graph.csr import UNREACHED, bfs_levels
     from repro.graph.incremental import SnapshotDelta, repair_levels
+    from repro.graph.msbfs import iter_msbfs_rows
     from repro.graph.prune import (
         KthTracker,
         PrunePlan,
@@ -427,15 +395,30 @@ def _score_candidates_csr(
             fresh = dict(zip(candidates, rows))
 
     def row_to_levels(row: Dict[Node, float], index: Dict[Node, int]) -> np.ndarray:
-        levels = np.full(n, UNREACHED, dtype=np.int64)
-        for v, d in row.items():
-            i = index.get(v)
-            if i is not None:
-                levels[i] = int(d)
-        return levels
+        # Nodes outside G_t1 land in a spare last slot, cut off below.
+        levels = np.full(n + 1, UNREACHED, dtype=np.int64)
+        at = np.fromiter((index.get(v, n) for v in row), np.int64, len(row))
+        levels[at] = np.fromiter(row.values(), np.int64, len(row))
+        return levels[:n]
 
-    scored: Dict[tuple, ConvergingPair] = {}
+    # Serial fresh t1 rows, consumed in candidate order: one bit-parallel
+    # sweep advances up to 64 of them (bit-identical to bfs_levels).
+    t1_rows = iter_msbfs_rows(csr1, [
+        csr1.index[c] for c in candidates
+        if result.d1_rows.get(c) is None and c not in fresh
+    ])
+    is_candidate = np.zeros(n, dtype=bool)
+    is_candidate[
+        np.fromiter((csr1.index[c] for c in candidates), dtype=np.int64)
+    ] = True
+    # (i, j): candidate i scored its pair with candidate j, so j's later
+    # sighting of the same pair is a duplicate.
+    seen: Set[Tuple[int, int]] = set()
+    targets: List[np.ndarray] = []
+    firsts: List[np.ndarray] = []
+    seconds: List[np.ndarray] = []
     for c in candidates:
+        i = csr1.index[c]
         pre1, pre2 = fresh.get(c, (None, None))
         raw1: Optional[np.ndarray] = None
         cached1 = result.d1_rows.get(c)
@@ -444,7 +427,7 @@ def _score_candidates_csr(
             if pre1 is not None:
                 lv1 = pre1
             else:
-                raw1 = bfs_levels(csr1, csr1.index[c])
+                raw1 = next(t1_rows)[1]
                 lv1 = raw1.astype(np.int64)
         else:
             lv1 = row_to_levels(cached1, csr1.index)
@@ -484,21 +467,43 @@ def _score_candidates_csr(
         else:
             lv2 = row_to_levels(cached2, csr1.index)
         reached = lv1 != UNREACHED
-        reached[csr1.index[c]] = False
+        reached[i] = False
         hits = np.flatnonzero(reached & (lv1 - lv2 > 0))
-        new_deltas: List[int] = []
-        for j in hits:
-            v = nodes[j]
-            key = canonical_pair(c, v)
-            if key not in scored:
-                scored[key] = ConvergingPair(
-                    key[0], key[1], int(lv1[j]), int(lv2[j])
-                )
-                if tracker is not None:
-                    new_deltas.append(int(lv1[j]) - int(lv2[j]))
+        repeats: List[int] = []
+        for j in hits[is_candidate[hits]].tolist():
+            if (j, i) in seen:
+                repeats.append(j)
+            else:
+                seen.add((i, j))
+        if repeats:
+            hits = hits[~np.isin(hits, repeats)]
+        targets.append(hits)
+        firsts.append(lv1[hits])
+        seconds.append(lv2[hits])
         # Only first-sighting deltas feed the tracker: offering a pair
         # from both endpoints would inflate the running k-th and
         # over-prune past the byte-identity guarantee.
-        if tracker is not None and new_deltas:
-            tracker.offer(np.asarray(new_deltas, dtype=np.int64))
+        if tracker is not None:
+            tracker.offer(firsts[-1] - seconds[-1])
+
+    if not targets:
+        return {}
+    owner = np.repeat(np.arange(len(targets)), [t.size for t in targets])
+    target = np.concatenate(targets)
+    d1 = np.concatenate(firsts)
+    d2 = np.concatenate(seconds)
+    # A pair under the k-th largest Δ sorts after all k pairs the caller
+    # keeps, so only pairs at or above it become objects.
+    keep = np.arange(target.size)
+    if 0 < k < target.size:
+        deltas = d1 - d2
+        kth = np.partition(deltas, target.size - k)[target.size - k]
+        keep = np.flatnonzero(deltas >= kth)
+    scored: Dict[tuple, ConvergingPair] = {}
+    for p, j, x1, x2 in zip(
+        owner[keep].tolist(), target[keep].tolist(),
+        d1[keep].tolist(), d2[keep].tolist(),
+    ):
+        key = canonical_pair(candidates[p], nodes[j])
+        scored[key] = ConvergingPair(key[0], key[1], x1, x2)
     return scored

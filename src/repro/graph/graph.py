@@ -43,10 +43,13 @@ class Graph:
     5.0
     """
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_adj", "_weighted")
 
     def __init__(self, edges: Optional[Iterable[tuple]] = None) -> None:
         self._adj: Dict[Node, Dict[Node, float]] = {}
+        # Cached :meth:`is_weighted`; ``None`` means unknown, rescanned
+        # on the next call.
+        self._weighted: Optional[bool] = False
         if edges is not None:
             for edge in edges:
                 if len(edge) == 2:
@@ -75,16 +78,25 @@ class Graph:
             raise ValueError(f"self loops are not allowed (node {u!r})")
         if weight <= 0:
             raise ValueError(f"edge weight must be positive, got {weight}")
-        self._adj.setdefault(u, {})[v] = weight
+        nbrs = self._adj.setdefault(u, {})
+        if weight != 1.0:
+            self._weighted = True
+        elif self._weighted and nbrs.get(v, 1.0) != 1.0:
+            self._weighted = None  # re-weighted to 1.0
+        nbrs[v] = weight
         self._adj.setdefault(v, {})[u] = weight
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove the edge ``{u, v}``; raises ``KeyError`` if absent."""
+        if self._adj[u][v] != 1.0:
+            self._weighted = None
         del self._adj[u][v]
         del self._adj[v][u]
 
     def remove_node(self, u: Node) -> None:
         """Remove ``u`` and all incident edges; raises ``KeyError`` if absent."""
+        if self._weighted:
+            self._weighted = None
         for v in list(self._adj[u]):
             del self._adj[v][u]
         del self._adj[u]
@@ -188,8 +200,16 @@ class Graph:
         return 2.0 * self.num_edges / (n * (n - 1))
 
     def is_weighted(self) -> bool:
-        """True if any edge carries a weight different from 1.0."""
-        return any(w != 1.0 for _, _, w in self.weighted_edges())
+        """True if any edge carries a weight different from 1.0.
+
+        O(1): the answer is cached and kept by the mutators.  Only after
+        a change that may have dropped the last non-unit weight (a
+        removal, a re-weighting to 1.0, a subgraph) is it recomputed,
+        once, by a scan of the edges.
+        """
+        if self._weighted is None:
+            self._weighted = any(w != 1.0 for _, _, w in self.weighted_edges())
+        return self._weighted
 
     # ------------------------------------------------------------------
     # Derivation
@@ -198,6 +218,7 @@ class Graph:
         """An independent deep copy of the graph."""
         g = Graph()
         g._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
+        g._weighted = self._weighted
         return g
 
     def subgraph(self, nodes: Iterable[Node]) -> "Graph":
@@ -209,6 +230,9 @@ class Graph:
             for v, w in self._adj[u].items():
                 if v in keep:
                     g._adj[u][v] = w
+        # The direct writes bypass add_edge: a subgraph of an unweighted
+        # graph is unweighted, any other one rescans on demand.
+        g._weighted = False if self._weighted is False else None
         return g
 
     def __eq__(self, other: object) -> bool:

@@ -1,12 +1,15 @@
 """Unit tests for repro.core.algorithm (Algorithm 1)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.algorithm import find_top_k_converging_pairs
 from repro.core.budget import BudgetExceededError, SPBudget
 from repro.core.pairgraph import PairGraph
 from repro.core.pairs import converging_pairs_at_threshold, top_k_converging_pairs
 from repro.graph.graph import Graph
+from repro.graph.traversal import bfs_distances
 from repro.graph.validation import GraphValidationError
 from repro.selection.base import CandidateSelector, SelectionResult
 from repro.selection.oracle import GreedyCoverOracle
@@ -189,23 +192,87 @@ class TestWithOracle:
         assert result.found_pair_set() == {p.pair for p in truth}
 
 
+@st.composite
+def mixed_id_snapshot_pair(draw):
+    """An unweighted insertion-only pair whose ids mix ``int`` and ``str``
+    (so ``repr`` breaks ties), with runs of equal Δ forced in.
+
+    Disjoint paths of one length each gain the same end-to-end chord at
+    t2, so every path contributes pairs at the same Δ values.  Random
+    edges among twelve more nodes, split at a random cut, add pairs of
+    other shapes.
+    """
+    strs = draw(st.frozensets(st.integers(min_value=0, max_value=140)))
+
+    def node(u):
+        return str(u) if u in strs else u
+
+    length = draw(st.integers(min_value=2, max_value=5))
+    copies = draw(st.integers(min_value=0, max_value=3))
+    old, new = [], []
+    for c in range(copies):
+        path = [100 + c * 10 + i for i in range(length + 1)]
+        old.extend(zip(path, path[1:]))
+        new.append((path[0], path[-1]))
+    raw = draw(st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30,
+    ))
+    edges = list(dict.fromkeys(
+        (min(u, v), max(u, v)) for u, v in raw if u != v
+    )) or [(0, 1)]
+    cut = draw(st.integers(min_value=1, max_value=len(edges)))
+    g1 = Graph([(node(u), node(v)) for u, v in old + edges[:cut]])
+    g2 = g1.copy()
+    for u, v in new + edges[cut:]:
+        g2.add_edge(node(u), node(v))
+    return g1, g2
+
+
 class TestCSRScoringPath:
     """The vectorised top-k phase must handle every cache mix exactly
     like the dict path (which the weighted branch still uses)."""
 
-    def _run_both(self, g1, g2, selector, k=5, m=5):
+    def _run_both(self, g1, g2, selector, k=5, m=5, prune=False):
         from repro.core import algorithm as alg
 
         fast = find_top_k_converging_pairs(g1, g2, k=k, m=m,
-                                           selector=selector, seed=0)
+                                           selector=selector, seed=0,
+                                           prune=prune)
         original = alg._score_candidates_csr
         alg._score_candidates_csr = alg._score_candidates_dict
         try:
             ref = find_top_k_converging_pairs(g1, g2, k=k, m=m,
-                                              selector=selector, seed=0)
+                                              selector=selector, seed=0,
+                                              prune=prune)
         finally:
             alg._score_candidates_csr = original
         return fast, ref
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), prune=st.booleans())
+    def test_matches_dict_path(self, data, prune):
+        g1, g2 = data.draw(mixed_id_snapshot_pair())
+        nodes = list(g1.nodes())
+        # Long prefixes make many candidate–candidate pairs, which the
+        # scorer meets from both endpoints.
+        order = data.draw(st.permutations(nodes))
+        candidates = order[:data.draw(st.integers(1, len(nodes)))]
+        cached1 = data.draw(st.sets(st.sampled_from(candidates)))
+        cached2 = data.draw(st.sets(st.sampled_from(candidates)))
+        selector = FixedSelector(
+            candidates,
+            d1_rows={c: dict(bfs_distances(g1, c)) for c in cached1},
+            d2_rows={c: dict(bfs_distances(g2, c)) for c in cached2},
+        )
+        positive = len(top_k_converging_pairs(g1, g2, k=len(nodes) ** 2))
+        k = data.draw(st.integers(min_value=1, max_value=positive + 3))
+        fast, ref = self._run_both(g1, g2, selector, k=k,
+                                   m=len(candidates), prune=prune)
+        assert [(p.u, p.v, p.d1, p.d2) for p in fast.pairs] == [
+            (p.u, p.v, p.d1, p.d2) for p in ref.pairs
+        ]
+        assert fast.budget.ledger() == ref.budget.ledger()
 
     def test_no_cached_rows(self, shortcut_pair):
         g1, g2 = shortcut_pair

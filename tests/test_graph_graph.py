@@ -1,6 +1,10 @@
 """Unit tests for repro.graph.graph.Graph."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.graph import Graph
 
@@ -201,3 +205,53 @@ class TestDerivation:
         g = Graph([("a", 1), (1, (2, 3))])
         assert g.num_nodes == 3
         assert g.has_edge((2, 3), 1)
+
+
+NODE = st.integers(min_value=0, max_value=6)
+STEP = st.one_of(
+    st.tuples(st.just("add"), NODE, NODE, st.sampled_from([1.0, 1, 0.5, 3.0])),
+    st.tuples(st.just("reweight"), st.integers(min_value=0)),
+    st.tuples(st.just("remove_edge"), st.integers(min_value=0)),
+    st.tuples(st.just("remove_node"), NODE),
+    st.tuples(st.just("copy")),
+    st.tuples(st.just("subgraph"), st.frozensets(NODE)),
+    st.tuples(st.just("pickle")),
+)
+
+
+class TestIsWeightedCache:
+    """``is_weighted`` answers from a flag the mutators keep; it must
+    always agree with a scan of the edges."""
+
+    @staticmethod
+    def _check(g):
+        assert g.is_weighted() == any(
+            w != 1.0 for _, _, w in g.weighted_edges()
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(STEP, max_size=40))
+    def test_flag_matches_scan(self, steps):
+        g = Graph()
+        for step in steps:
+            kind = step[0]
+            edges = list(g.weighted_edges())
+            if kind == "add" and step[1] != step[2]:
+                g.add_edge(step[1], step[2], step[3])
+            elif kind == "reweight" and edges:
+                u, v, w = edges[step[1] % len(edges)]
+                g.add_edge(u, v, 1.0)
+                self._check(g)
+                g.add_edge(u, v, w)
+            elif kind == "remove_edge" and edges:
+                u, v, _ = edges[step[1] % len(edges)]
+                g.remove_edge(u, v)
+            elif kind == "remove_node" and step[1] in g:
+                g.remove_node(step[1])
+            elif kind == "copy":
+                g = g.copy()
+            elif kind == "subgraph":
+                g = g.subgraph(step[1])
+            elif kind == "pickle":
+                g = pickle.loads(pickle.dumps(g))
+            self._check(g)
