@@ -6,7 +6,8 @@ Given a candidate selector, the generic algorithm
    charged to the SSSP budget as ``"generation"``),
 2. computes single-source shortest paths from every candidate in both
    snapshots (phase 2, ``"topk"`` charges; rows the selector already
-   computed are reused for free),
+   computed are reused for free) — both phases take their rows from one
+   :class:`~repro.graph.pair.SnapshotPair` built per query,
 3. scores every ``(candidate, v)`` pair connected at t1 with
    ``Δ = d_t1 − d_t2`` and returns the k best.
 
@@ -16,7 +17,7 @@ the budget tests assert this against Table 1's per-approach split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict, Hashable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING,
 )
@@ -25,7 +26,10 @@ import numpy as np
 
 from repro.core.budget import SPBudget
 from repro.core.pairs import ConvergingPair, canonical_pair
+from repro.graph.csr import UNREACHED
 from repro.graph.graph import Graph
+from repro.graph.msbfs import msbfs_levels
+from repro.graph.pair import SnapshotPair, pair_rows
 from repro.graph.traversal import single_source_distances
 from repro.graph.validation import check_snapshot_pair
 from repro.parallel import ParallelExecutor, worker_state
@@ -71,7 +75,6 @@ def find_top_k_converging_pairs(
     validate: bool = True,
     budget_limit: Optional[int] = -1,
     workers: int = 1,
-    prune: bool = False,
 ) -> TopKResult:
     """Algorithm 1: budgeted top-k converging pairs.
 
@@ -97,17 +100,6 @@ def find_top_k_converging_pairs(
         Process-pool size for the phase-2 per-candidate SSSP batch
         (1 = serial).  Results and budget accounting are bit-identical
         at any worker count; candidate selection (phase 1) is untouched.
-    prune:
-        Apply Δ-aware pruning (:mod:`repro.graph.prune`) to the phase-2
-        traversals: serial runs maintain the running k-th best Δ and
-        skip or level-cut candidates whose bound rules them out; pooled
-        workers apply the static Δ ≥ 1 bound (rows are precomputed, so
-        no running k-th exists yet).  The returned pairs and the budget
-        ledger are identical either way — a skipped or cut traversal
-        still charges as one SSSP, exactly like an unpruned one, because
-        the paper's budget counts SSSP *results obtained* (the pruned
-        engine provably obtains the same result).  Unweighted snapshots
-        only.
 
     Returns
     -------
@@ -118,19 +110,15 @@ def find_top_k_converging_pairs(
         raise ValueError(f"k must be >= 1, got {k}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if prune and (g1.is_weighted() or g2.is_weighted()):
-        raise ValueError(
-            "prune=True requires unweighted snapshots; the weighted "
-            "(dict) scoring path has no level arrays to bound"
-        )
     if validate:
         check_snapshot_pair(g1, g2)
+    pair = SnapshotPair.from_graphs(g1, g2)
 
     limit = 2 * m if budget_limit == -1 else budget_limit
     budget = SPBudget(limit)
     rng = np.random.default_rng(seed)
 
-    result = selector.select(g1, g2, m, budget, rng=rng)
+    result = selector.select(g1, g2, m, budget, rng=rng, pair=pair)
     candidates = list(result.candidates)
     if len(candidates) > m:
         raise ValueError(
@@ -152,16 +140,15 @@ def find_top_k_converging_pairs(
     # then Δ for every candidate-incident connected pair.  Unweighted
     # snapshots run through the vectorised CSR engine; weighted ones
     # stream Dijkstra rows.  Results are identical either way.
-    if g1.is_weighted() or g2.is_weighted():
+    if pair.weighted:
         scored = _score_candidates_dict(
-            g1, g2, candidates, result, budget, workers
+            pair, candidates, result, budget, workers
         )
     else:
         from repro.parallel import derive_run_id
 
         scored = _score_candidates_csr(
-            g1, g2, candidates, result, budget, workers,
-            prune=prune, k=k,
+            pair, candidates, result, budget, workers, k=k,
             # Seeded, collision-safe shm segment identity — everything
             # that shapes the run, nothing from the clock or the pid.
             shm_run_id=derive_run_id(
@@ -187,23 +174,22 @@ def _dict_rows_task(
 
 
 def _score_candidates_dict(
-    g1: Graph, g2: Graph, candidates: Sequence[Node],
+    pair: SnapshotPair, candidates: Sequence[Node],
     result: "SelectionResult", budget: SPBudget,
-    workers: int = 1, prune: bool = False, k: int = 0,
-    shm_run_id: Optional[str] = None,
+    workers: int = 1, k: int = 0, shm_run_id: Optional[str] = None,
 ) -> Dict[tuple, ConvergingPair]:
     """Reference scoring path: one distance map pair per candidate.
 
-    ``prune``/``k``/``shm_run_id`` keep the signature interchangeable
-    with ``_score_candidates_csr``; distance maps carry no level arrays
-    to bound (callers reject ``prune=True`` on weighted inputs before
-    reaching here), and dict graphs hold no shareable arrays, so the
-    arena never publishes on this path.
+    ``k``/``shm_run_id`` keep the signature interchangeable with
+    ``_score_candidates_csr``; dict graphs hold no shareable arrays, so
+    the arena never publishes on this path.  Cached selector rows are
+    read back into maps through the pair's node order.
     """
+    g1, g2, nodes = pair.g1, pair.g2, pair.nodes
     fresh: Dict[Node, tuple] = {}
     if workers > 1:
         specs = [
-            (c, result.d1_rows.get(c) is None, result.d2_rows.get(c) is None)
+            (c, c not in result.d1_rows, c not in result.d2_rows)
             for c in candidates
         ]
         if any(n1 or n2 for _, n1, n2 in specs):
@@ -213,15 +199,21 @@ def _score_candidates_dict(
             rows = executor.map(_dict_rows_task, specs, unit="topk.sssp")
             fresh = dict(zip(candidates, rows))
 
+    def as_map(row: np.ndarray) -> Dict[Node, float]:
+        at = np.flatnonzero(row != UNREACHED)
+        return dict(zip([nodes[i] for i in at], row[at].tolist()))
+
     scored: Dict[tuple, ConvergingPair] = {}
     for c in candidates:
         pre1, pre2 = fresh.get(c, (None, None))
-        d1 = result.d1_rows.get(c)
-        if d1 is None:
+        if c in result.d1_rows:
+            d1 = as_map(result.d1_rows[c])
+        else:
             budget.charge("topk", "g1", 1)
             d1 = pre1 if pre1 is not None else single_source_distances(g1, c)
-        d2 = result.d2_rows.get(c)
-        if d2 is None:
+        if c in result.d2_rows:
+            d2 = as_map(result.d2_rows[c])
+        else:
             budget.charge("topk", "g2", 1)
             d2 = pre2 if pre2 is not None else single_source_distances(g2, c)
         for v, dv1 in d1.items():
@@ -236,96 +228,37 @@ def _score_candidates_dict(
     return scored
 
 
-def _csr_rows_batch_task(
-    batch: "Sequence[Tuple[int, int]]",
-) -> "List[Tuple[Optional[np.ndarray], Optional[np.ndarray]]]":
-    """Worker task: fresh level rows for a batch of candidates (CSR path).
+def _csr_rows_task(spec: "Tuple[str, List[int]]") -> np.ndarray:
+    """Worker task: one msbfs block of fresh rows in ``G_t1``'s order.
 
-    Each spec is ``(i1, i2)`` — the candidate's index in each snapshot's
-    CSR view, or ``-1`` for a row the selector already cached (free).
-    The worker state carries one :class:`SnapshotDelta` (and, under
-    ``prune``, a :class:`PrunePlan`) shipped once per pool.  The batch's
-    fresh t1 rows come from one bit-parallel msbfs block.  When both
-    rows are fresh the t2 row is an incremental repair of the t1 row
-    (bit-identical to a full traversal); a plan applies the static
-    Δ ≥ 1 bound, since rows are precomputed before any scoring and no
-    running k-th Δ exists yet — the returned row differs from the exact
-    one only where Δ would be ≤ 0, which scoring discards.  A candidate
-    whose t1 row is cached in the parent has no level array here to
-    repair from, so its t2 row comes from a second msbfs block of full
-    traversals.  Budget note: batching never changes what is charged —
-    each spec is still one SSSP result per fresh row, charged in-parent.
+    ``spec`` is a snapshot label and csr indices on that snapshot; the
+    worker state holds both CSR views and the t1 → t2 map, shipped once
+    per pool.  Batching never changes what is charged: every row is
+    still one SSSP result, charged in the parent before dispatch.
     """
-    from repro.graph.incremental import repair_levels
-    from repro.graph.msbfs import msbfs_levels
-    from repro.graph.prune import source_bound
-
+    snapshot, sources = spec
     state = worker_state()
-    delta = state["delta"]
-    plan = state.get("plan")
-    t1_sources = [i1 for i1, _ in batch if i1 >= 0]
-    t2_sources = [i2 for i1, i2 in batch if i1 < 0 and i2 >= 0]
-    # reprolint: disable=R004 -- charged in the parent's scoring loop before dispatch (ledger stays in-parent)
-    block1 = msbfs_levels(delta.csr1, t1_sources) if t1_sources else None
-    # reprolint: disable=R004 -- charged in the parent's scoring loop before dispatch (ledger stays in-parent)
-    block2 = msbfs_levels(delta.csr2, t2_sources) if t2_sources else None
-
-    out: List[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = []
-    pos1 = pos2 = 0
-    for i1, i2 in batch:
-        lv1: Optional[np.ndarray] = None
-        lv2: Optional[np.ndarray] = None
-        if i1 >= 0:
-            assert block1 is not None
-            raw1 = block1[pos1]
-            pos1 += 1
-            lv1 = raw1.astype(np.int64)
-            if i2 >= 0:
-                if plan is not None and source_bound(raw1, plan) < 1:
-                    lv2 = lv1
-                elif plan is not None:
-                    # reprolint: disable=R004 -- the repaired t2 row is the second half of the candidate's SSSP pair, charged in-parent
-                    lv2 = repair_levels(
-                        delta, raw1, max_level=int(raw1.max()) - 1
-                    )[delta.mapping].astype(np.int64)
-                else:
-                    # reprolint: disable=R004 -- the repaired t2 row is the second half of the candidate's SSSP pair, charged in-parent
-                    lv2 = repair_levels(delta, raw1)[delta.mapping].astype(
-                        np.int64
-                    )
-        if i2 >= 0 and lv2 is None:
-            assert block2 is not None
-            lv2 = block2[pos2][delta.mapping].astype(np.int64)
-            pos2 += 1
-        out.append((lv1, lv2))
-    return out
+    # reprolint: disable=R004 -- charged in the parent before dispatch (ledger stays in-parent)
+    block = msbfs_levels(state["csr1" if snapshot == "g1" else "csr2"], sources)
+    return block if snapshot == "g1" else block[:, state["mapping"]]
 
 
 def _score_candidates_csr(
-    g1: Graph, g2: Graph, candidates: Sequence[Node],
+    pair: SnapshotPair, candidates: Sequence[Node],
     result: "SelectionResult", budget: SPBudget,
-    workers: int = 1, prune: bool = False, k: int = 0,
-    shm_run_id: Optional[str] = None,
+    workers: int = 1, k: int = 0, shm_run_id: Optional[str] = None,
 ) -> Dict[tuple, ConvergingPair]:
     """Vectorised scoring path for unweighted snapshots.
 
-    Distance rows — cached dicts from the selector or freshly charged
-    CSR BFS runs — are held as level arrays aligned to ``G_t1``'s node
-    order, and each candidate's Δ vector is a single numpy subtraction.
-    Fresh t1 rows come from the bit-parallel multi-source BFS
-    (:mod:`repro.graph.msbfs`), up to 64 candidates per sweep.  A
-    candidate needing both rows pays that t1 traversal plus an
-    incremental repair into the t2 row (:mod:`repro.graph.incremental`)
-    through a :class:`SnapshotDelta` built once per run; a candidate
-    whose t1 row came cached from the selector falls back to a full t2
-    traversal.  The budget accounting is identical to the dict path
-    either way: a cached row is free, a missing one is charged to
-    ``topk`` on its snapshot, one record per row in candidate order —
-    the repair is an implementation detail of *computing* the charged
-    t2 row, never a way to skip its charge.  With ``workers > 1`` the
-    fresh rows are computed by a process pool first (the delta ships to
-    each worker once, via the pool initializer); charging and scoring
-    stay in the parent, in candidate order.
+    Every row — cached by the selector or freshly charged — is a level
+    array in ``G_t1``'s node order, and each candidate's Δ vector is a
+    single numpy subtraction.  Charges come first: a missing row is
+    charged to ``topk`` on its snapshot, one record per row in candidate
+    order (g1 before g2), exactly as the dict path charges; a cached row
+    is free.  Then one :func:`~repro.graph.pair.pair_rows` block computes
+    every fresh t1 row and one every fresh t2 row.  With ``workers > 1``
+    a process pool computes those blocks from the pair's CSR views and
+    map (shipped once per pool); scoring stays in the parent.
 
     Each candidate's positive-Δ hits stay numpy arrays; a pair of two
     candidates keeps the sighting of whichever comes first, exactly as
@@ -335,82 +268,45 @@ def _score_candidates_csr(
     pair sorts after all of them, so the caller's stable ``sort_key``
     sort and ``[:k]`` return the same list, ties at the k-th Δ
     included.
-
-    ``prune=True`` (with ``k``, the number of pairs the caller will
-    keep) turns on Δ-aware pruning from :mod:`repro.graph.prune`.
-    Serially computed t2 rows are skipped or level-cut against the
-    *running* k-th best Δ of the pairs scored so far; pooled rows are
-    precomputed before any scoring, so workers receive the plan and
-    apply only the static Δ ≥ 1 bound.  Either way the scored map may
-    silently lack (or under-score) pairs that provably rank strictly
-    below the final k-th Δ — the caller's ``ranked[:k]`` truncation is
-    unaffected, which the differential harness pins byte-for-byte.
-    Budget charges are untouched: a pruned traversal charges exactly
-    like the unpruned one it replaces.
     """
-    from repro.graph.csr import UNREACHED, bfs_levels
-    from repro.graph.incremental import SnapshotDelta, repair_levels
-    from repro.graph.msbfs import iter_msbfs_rows
-    from repro.graph.prune import (
-        KthTracker,
-        PrunePlan,
-        bounded_bfs_levels,
-        source_bound,
-    )
+    index, nodes, n = pair.index, pair.nodes, len(pair.nodes)
+    fresh1 = [c for c in candidates if c not in result.d1_rows]
+    fresh2 = [c for c in candidates if c not in result.d2_rows]
+    for c in candidates:
+        if c not in result.d1_rows:
+            budget.charge("topk", "g1", 1)
+        if c not in result.d2_rows:
+            budget.charge("topk", "g2", 1)
+    if workers > 1 and (fresh1 or fresh2):
+        assert pair.csr1 is not None and pair.csr2 is not None
+        specs = [("g1", [pair.csr1.index[c] for c in fresh1]),
+                 ("g2", [pair.csr2.index[c] for c in fresh2])]
+        # Batch width balances the bit-parallel sweep (wider = fewer
+        # frontier loops) against pool utilisation (small candidate
+        # sets must still spread across the workers).
+        width = max(1, min(64, -(-(len(fresh1) + len(fresh2))
+                                // (workers * 4))))
+        batches = [(snap, idx[i : i + width]) for snap, idx in specs
+                   for i in range(0, len(idx), width)]
+        executor = ParallelExecutor(
+            workers,
+            state={"csr1": pair.csr1, "csr2": pair.csr2,
+                   "mapping": pair.mapping},
+            shm_run_id=shm_run_id,
+        )
+        blocks = executor.map(_csr_rows_task, batches, unit="topk.sssp")
+        rows1 = [row for (snap, _), b in zip(batches, blocks)
+                 if snap == "g1" for row in b]
+        rows2 = [row for (snap, _), b in zip(batches, blocks)
+                 if snap == "g2" for row in b]
+    else:
+        rows1 = list(pair_rows(pair, fresh1, "g1")) if fresh1 else []
+        rows2 = list(pair_rows(pair, fresh2, "g2")) if fresh2 else []
+    levels1 = {**dict(zip(fresh1, rows1)), **result.d1_rows}
+    levels2 = {**dict(zip(fresh2, rows2)), **result.d2_rows}
 
-    delta = SnapshotDelta.from_graphs(g1, g2)
-    csr1, csr2 = delta.csr1, delta.csr2
-    n = csr1.num_nodes
-    nodes = csr1.nodes
-    align = delta.mapping
-    plan = PrunePlan.from_delta(delta) if prune else None
-    tracker = KthTracker(k) if prune else None
-
-    fresh: Dict[Node, tuple] = {}
-    if workers > 1:
-        specs = [
-            (
-                csr1.index[c] if result.d1_rows.get(c) is None else -1,
-                csr2.index[c] if result.d2_rows.get(c) is None else -1,
-            )
-            for c in candidates
-        ]
-        if any(i1 >= 0 or i2 >= 0 for i1, i2 in specs):
-            # Batch width balances the bit-parallel sweep (wider = fewer
-            # frontier loops) against pool utilisation (small candidate
-            # sets must still spread across the workers).
-            width = max(1, min(64, -(-len(specs) // (workers * 4))))
-            batches = [
-                specs[i : i + width] for i in range(0, len(specs), width)
-            ]
-            executor = ParallelExecutor(
-                workers,
-                state={"delta": delta, "plan": plan},
-                shm_run_id=shm_run_id,
-            )
-            row_batches = executor.map(
-                _csr_rows_batch_task, batches, unit="topk.sssp"
-            )
-            rows = [row for batch in row_batches for row in batch]
-            fresh = dict(zip(candidates, rows))
-
-    def row_to_levels(row: Dict[Node, float], index: Dict[Node, int]) -> np.ndarray:
-        # Nodes outside G_t1 land in a spare last slot, cut off below.
-        levels = np.full(n + 1, UNREACHED, dtype=np.int64)
-        at = np.fromiter((index.get(v, n) for v in row), np.int64, len(row))
-        levels[at] = np.fromiter(row.values(), np.int64, len(row))
-        return levels[:n]
-
-    # Serial fresh t1 rows, consumed in candidate order: one bit-parallel
-    # sweep advances up to 64 of them (bit-identical to bfs_levels).
-    t1_rows = iter_msbfs_rows(csr1, [
-        csr1.index[c] for c in candidates
-        if result.d1_rows.get(c) is None and c not in fresh
-    ])
     is_candidate = np.zeros(n, dtype=bool)
-    is_candidate[
-        np.fromiter((csr1.index[c] for c in candidates), dtype=np.int64)
-    ] = True
+    is_candidate[[index[c] for c in candidates]] = True
     # (i, j): candidate i scored its pair with candidate j, so j's later
     # sighting of the same pair is a duplicate.
     seen: Set[Tuple[int, int]] = set()
@@ -418,54 +314,8 @@ def _score_candidates_csr(
     firsts: List[np.ndarray] = []
     seconds: List[np.ndarray] = []
     for c in candidates:
-        i = csr1.index[c]
-        pre1, pre2 = fresh.get(c, (None, None))
-        raw1: Optional[np.ndarray] = None
-        cached1 = result.d1_rows.get(c)
-        if cached1 is None:
-            budget.charge("topk", "g1", 1)
-            if pre1 is not None:
-                lv1 = pre1
-            else:
-                raw1 = next(t1_rows)[1]
-                lv1 = raw1.astype(np.int64)
-        else:
-            lv1 = row_to_levels(cached1, csr1.index)
-        cached2 = result.d2_rows.get(c)
-        if cached2 is None:
-            budget.charge("topk", "g2", 1)
-            if pre2 is not None:
-                lv2 = pre2
-            else:
-                # Serial fresh row: the running k-th Δ is live here, so
-                # the full dynamic prune applies.  The charge above is
-                # deliberately unconditional — a skipped traversal still
-                # obtained its SSSP *result* (provably all-Δ≤kth), and
-                # the paper's budget counts results, not edges scanned.
-                theta = tracker.threshold if tracker is not None else 0
-                bound_lv1 = raw1 if raw1 is not None else lv1
-                if plan is not None and tracker is not None and (
-                    source_bound(bound_lv1, plan) < theta
-                ):
-                    lv2 = lv1
-                elif raw1 is not None:
-                    cut = (
-                        int(raw1.max()) - theta if tracker is not None
-                        else None
-                    )
-                    lv2 = repair_levels(delta, raw1, max_level=cut)[
-                        align
-                    ].astype(np.int64)
-                elif tracker is not None:
-                    lv2 = bounded_bfs_levels(
-                        csr2, csr2.index[c], int(lv1.max()) - theta
-                    )[align].astype(np.int64)
-                else:
-                    lv2 = bfs_levels(csr2, csr2.index[c])[align].astype(
-                        np.int64
-                    )
-        else:
-            lv2 = row_to_levels(cached2, csr1.index)
+        i = index[c]
+        lv1, lv2 = levels1[c], levels2[c]
         reached = lv1 != UNREACHED
         reached[i] = False
         hits = np.flatnonzero(reached & (lv1 - lv2 > 0))
@@ -480,11 +330,6 @@ def _score_candidates_csr(
         targets.append(hits)
         firsts.append(lv1[hits])
         seconds.append(lv2[hits])
-        # Only first-sighting deltas feed the tracker: offering a pair
-        # from both endpoints would inflate the running k-th and
-        # over-prune past the byte-identity guarantee.
-        if tracker is not None:
-            tracker.offer(firsts[-1] - seconds[-1])
 
     if not targets:
         return {}

@@ -47,6 +47,7 @@ from repro.graph.csr import (
     bfs_levels,
 )
 from repro.graph.msbfs import iter_msbfs_rows, msbfs_levels
+from repro.graph.pair import SnapshotPair, pair_rows
 from repro.graph.incremental import (
     SnapshotDelta,
     levels_pair,
@@ -113,6 +114,8 @@ __all__ = [
     "bfs_levels",
     "iter_msbfs_rows",
     "msbfs_levels",
+    "SnapshotPair",
+    "pair_rows",
     "SnapshotDelta",
     "levels_pair",
     "levels_pair_indexed",

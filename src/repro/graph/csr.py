@@ -15,6 +15,7 @@ graphs.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
@@ -64,20 +65,20 @@ class CSRGraph:
         """
         node_list = list(nodes) if nodes is not None else list(graph.nodes())
         index = {u: i for i, u in enumerate(node_list)}
-        if len(index) != len(node_list):
+        n = len(node_list)
+        if len(index) != n:
             raise ValueError("duplicate nodes in CSR universe")
-        counts = np.zeros(len(node_list) + 1, dtype=np.int64)
-        rows: List[np.ndarray] = []
-        for i, u in enumerate(node_list):
-            nbrs = [index[v] for v in graph.neighbors(u) if v in index]
-            nbrs.sort()
-            counts[i + 1] = len(nbrs)
-            rows.append(np.array(nbrs, dtype=np.int32))
-        indptr = np.cumsum(counts)
-        indices = (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int32)
-        ).astype(np.int32)
-        return cls(node_list, indptr, indices)
+        rows = [
+            [index[v] for v in graph.neighbors(u) if v in index]
+            for u in node_list
+        ]
+        counts = np.fromiter(map(len, rows), np.int64, n)
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, int(indptr[-1]))
+        # One stable sort on owner·n + neighbour orders every row at once.
+        owner = np.repeat(np.arange(n, dtype=np.int64), counts)
+        order = np.argsort(owner * n + flat, kind="stable")
+        return cls(node_list, indptr, flat[order].astype(np.int32))
 
     @property
     def num_nodes(self) -> int:

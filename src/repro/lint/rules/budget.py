@@ -47,6 +47,10 @@ SSSP_ENTRY_POINTS = frozenset({
     "msbfs_levels",
     "iter_msbfs_rows",
     "bfs_distances_many",
+    # Algorithm 1's row source: one returned row is one SSSP result; the
+    # caller charges it, because a charge inside a batch would reorder
+    # the ledger.
+    "pair_rows",
 })
 
 #: The engine package itself — the layer the entry points live in.

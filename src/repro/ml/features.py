@@ -25,16 +25,16 @@ import numpy as np
 
 from repro.core.budget import SPBudget
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 from repro.selection.base import GENERATION_PHASE
 from repro.selection.dispersion import greedy_dispersion
 from repro.selection.landmark import (
-    landmark_delta_scores,
+    landmark_delta_norms,
     landmark_rows,
     sample_landmarks,
 )
 
 Node = Hashable
-DistanceRow = Dict[Node, float]
 
 #: Node-level feature names, in column order.
 NODE_FEATURE_NAMES = (
@@ -73,14 +73,15 @@ class FeatureResult:
         All 3l landmark nodes, random + MaxMin + MaxAvg in that order
         (duplicates possible across policies; preserved in order, deduped).
     d1_rows / d2_rows:
-        Cached SSSP rows of every landmark in each snapshot.
+        Cached SSSP rows of every landmark in each snapshot
+        (:func:`~repro.graph.pair.pair_rows` arrays).
     """
 
     nodes: List[Node]
     matrix: np.ndarray
     landmark_nodes: List[Node]
-    d1_rows: Dict[Node, DistanceRow]
-    d2_rows: Dict[Node, DistanceRow]
+    d1_rows: Dict[Node, np.ndarray]
+    d2_rows: Dict[Node, np.ndarray]
 
 
 def extract_node_features(
@@ -90,66 +91,56 @@ def extract_node_features(
     rng: np.random.Generator,
     budget: Optional[SPBudget] = None,
     phase: str = GENERATION_PHASE,
+    pair: Optional[SnapshotPair] = None,
 ) -> FeatureResult:
     """Compute the 10 node features for every node of ``G_t1``.
 
     Charges ``6 * num_landmarks`` SSSPs to ``budget`` (an unlimited budget
-    is created when ``None`` — the offline-training path).
+    is created when ``None`` — the offline-training path).  Rows come
+    from ``pair`` (built over ``g1``/``g2`` when ``None``).
     """
     if num_landmarks < 1:
         raise ValueError(f"num_landmarks must be >= 1, got {num_landmarks}")
     budget = budget if budget is not None else SPBudget(None)
-    nodes = list(g1.nodes())
+    pair = SnapshotPair.of(g1, g2, pair)
+    nodes = pair.nodes
 
-    d1_rows: Dict[Node, DistanceRow] = {}
-    d2_rows: Dict[Node, DistanceRow] = {}
+    d1_rows: Dict[Node, np.ndarray] = {}
+    d2_rows: Dict[Node, np.ndarray] = {}
     landmark_nodes: List[Node] = []
-    per_policy_scores = {}
 
     # Random landmarks: l SSSPs on each snapshot.
     rnd = sample_landmarks(g1, num_landmarks, rng)
-    rnd_rows1 = landmark_rows(g1, rnd, budget, "g1", phase)
-    rnd_rows2 = landmark_rows(g2, rnd, budget, "g2", phase)
-    per_policy_scores["rnd"] = (rnd, rnd_rows1, rnd_rows2)
+    rnd_rows1 = landmark_rows(pair, rnd, budget, "g1", phase)
+    rnd_rows2 = landmark_rows(pair, rnd, budget, "g2", phase)
+    policies = [(rnd, rnd_rows1, rnd_rows2)]
 
-    # Dispersion landmarks: the greedy's G_t1 rows double as the table.
-    for key, mode in (("maxmin", "min"), ("maxavg", "avg")):
+    # Dispersion landmarks (MaxMin, then MaxAvg): the greedy's G_t1 rows
+    # double as the table.
+    for mode in ("min", "avg"):
         picks, rows1 = greedy_dispersion(
-            g1, num_landmarks, mode, budget, rng, phase=phase
+            pair, num_landmarks, mode, budget, rng, phase=phase
         )
-        rows2 = landmark_rows(g2, picks, budget, "g2", phase)
-        per_policy_scores[key] = (picks, rows1, rows2)
+        rows2 = landmark_rows(pair, picks, budget, "g2", phase)
+        policies.append((picks, rows1, rows2))
 
-    columns: Dict[str, Dict[Node, float]] = {}
-    for key, (picks, rows1, rows2) in per_policy_scores.items():
-        columns[f"{key}_l1"] = landmark_delta_scores(g1, picks, rows1, rows2, "l1")
-        columns[f"{key}_linf"] = landmark_delta_scores(
-            g1, picks, rows1, rows2, "linf"
-        )
+    deg1 = np.fromiter((g1.degree(u) for u in nodes), float, len(nodes))
+    deg2 = np.fromiter((g2.degree(u) for u in nodes), float, len(nodes))
+    columns = [deg1, deg2, deg2 - deg1, (deg2 - deg1) / np.maximum(deg1, 1)]
+    for picks, rows1, rows2 in policies:
+        for norm in ("l1", "linf"):
+            columns.append(
+                landmark_delta_norms(nodes, picks, rows1, rows2, norm)
+            )
         for w in picks:
             if w not in d1_rows:
                 landmark_nodes.append(w)
             d1_rows[w] = rows1[w]
             d2_rows[w] = rows2[w]
 
-    matrix = np.zeros((len(nodes), len(NODE_FEATURE_NAMES)), dtype=float)
-    for i, u in enumerate(nodes):
-        deg1 = g1.degree(u)
-        deg2 = g2.degree(u)
-        matrix[i, 0] = deg1
-        matrix[i, 1] = deg2
-        matrix[i, 2] = deg2 - deg1
-        matrix[i, 3] = (deg2 - deg1) / max(deg1, 1)
-        matrix[i, 4] = columns["rnd_l1"][u]
-        matrix[i, 5] = columns["rnd_linf"][u]
-        matrix[i, 6] = columns["maxmin_l1"][u]
-        matrix[i, 7] = columns["maxmin_linf"][u]
-        matrix[i, 8] = columns["maxavg_l1"][u]
-        matrix[i, 9] = columns["maxavg_linf"][u]
-
     return FeatureResult(
-        nodes=nodes,
-        matrix=matrix,
+        nodes=list(nodes),
+        matrix=np.column_stack(columns),
         landmark_nodes=landmark_nodes,
         d1_rows=d1_rows,
         d2_rows=d2_rows,

@@ -4,16 +4,15 @@ The executor's worker state used to reach each pool worker by value —
 inherited page-by-page under ``fork`` (copy-on-write, but a copy per
 worker as soon as refcounts touch the pages) and fully re-pickled under
 ``spawn``.  For CSR-backed state (frozen :class:`~repro.graph.csr.CSRGraph`
-views, :class:`~repro.graph.incremental.SnapshotDelta` alignment arrays,
-:class:`~repro.graph.prune.PrunePlan` seeds) that copy is pure waste:
-the arrays are immutable for the lifetime of the pool.
+views, the t1 → t2 index map of a snapshot pair) that copy is pure
+waste: the arrays are immutable for the lifetime of the pool.
 
 :class:`SharedCsrArena` publishes every such array into **one**
 ``multiprocessing.shared_memory`` segment, created once per pool:
 
 * :meth:`SharedCsrArena.maybe_publish` decomposes a worker-state dict —
-  ndarray / ``CSRGraph`` / ``SnapshotDelta`` / ``PrunePlan`` values
-  become 64-byte-aligned array slots in the segment; everything else
+  ndarray / ``CSRGraph`` values become 64-byte-aligned array slots in
+  the segment; everything else
   stays ordinary pickled state.  Returns ``None`` when nothing in the
   state is shareable (e.g. weighted dict-graph state).
 * workers receive only the tiny :class:`ArenaManifest` (segment name,
@@ -67,18 +66,6 @@ _MAX_PROBES = 64
 _ALIGN = 64
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
-
-#: ``SnapshotDelta`` array fields published verbatim (CSR views are
-#: decomposed separately; node lists ride in the manifest metadata).
-_DELTA_FIELDS = (
-    "mapping",
-    "new_nodes",
-    "edge_tails",
-    "edge_heads",
-    "seed_heads",
-    "seed_tails",
-    "seed_starts",
-)
 
 
 def derive_run_id(*parts: object) -> str:
@@ -135,9 +122,9 @@ class ArenaManifest:
     """Everything a worker needs to rebuild the state from the segment.
 
     ``objects`` lists ``(state_key, kind, metadata)`` rebuild specs in
-    state-dict order; ``kind`` selects the recomposition (``"array"``,
-    ``"csr"``, ``"delta"``, ``"plan"``) and ``metadata`` carries the
-    non-array remainder (node lists for CSR universes).
+    state-dict order; ``kind`` selects the recomposition (``"array"``
+    or ``"csr"``) and ``metadata`` carries the non-array remainder (the
+    node list of a CSR universe).
     """
 
     segment: str
@@ -158,35 +145,18 @@ def _decompose(
 ]:
     """Split a state dict into shareable arrays, rebuild specs, and rest."""
     from repro.graph.csr import CSRGraph
-    from repro.graph.incremental import SnapshotDelta
-    from repro.graph.prune import PrunePlan
 
     arrays: Dict[str, np.ndarray] = {}
     objects: List[Tuple[str, str, Any]] = []
     plain: Dict[str, Any] = {}
-
-    def put_csr(prefix: str, csr: CSRGraph) -> None:
-        arrays[f"{prefix}.indptr"] = csr.indptr
-        arrays[f"{prefix}.indices"] = csr.indices
-
     for key, value in state.items():
         if isinstance(value, np.ndarray):
             arrays[key] = value
             objects.append((key, "array", None))
         elif isinstance(value, CSRGraph):
-            put_csr(key, value)
+            arrays[f"{key}.indptr"] = value.indptr
+            arrays[f"{key}.indices"] = value.indices
             objects.append((key, "csr", list(value.nodes)))
-        elif isinstance(value, SnapshotDelta):
-            put_csr(f"{key}.csr1", value.csr1)
-            put_csr(f"{key}.csr2", value.csr2)
-            for field in _DELTA_FIELDS:
-                arrays[f"{key}.{field}"] = getattr(value, field)
-            objects.append(
-                (key, "delta", (list(value.csr1.nodes), list(value.csr2.nodes)))
-            )
-        elif isinstance(value, PrunePlan):
-            arrays[f"{key}.seed_idx1"] = value.seed_idx1
-            objects.append((key, "plan", None))
         else:
             plain[key] = value
     return arrays, objects, plain
@@ -199,32 +169,15 @@ def _recompose(
 ) -> Dict[str, Any]:
     """Rebuild the original state dict over arena-backed views."""
     from repro.graph.csr import CSRGraph
-    from repro.graph.incremental import SnapshotDelta
-    from repro.graph.prune import PrunePlan
-
-    def get_csr(prefix: str, nodes: List[Any]) -> CSRGraph:
-        return CSRGraph(
-            nodes, views[f"{prefix}.indptr"], views[f"{prefix}.indices"]
-        )
 
     state: Dict[str, Any] = {}
     for key, kind, meta in objects:
         if kind == "array":
             state[key] = views[key]
         elif kind == "csr":
-            state[key] = get_csr(key, list(meta))
-        elif kind == "delta":
-            nodes1, nodes2 = meta
-            state[key] = SnapshotDelta(
-                csr1=get_csr(f"{key}.csr1", list(nodes1)),
-                csr2=get_csr(f"{key}.csr2", list(nodes2)),
-                **{
-                    field: views[f"{key}.{field}"]
-                    for field in _DELTA_FIELDS
-                },
+            state[key] = CSRGraph(
+                list(meta), views[f"{key}.indptr"], views[f"{key}.indices"]
             )
-        elif kind == "plan":
-            state[key] = PrunePlan(seed_idx1=views[f"{key}.seed_idx1"])
         else:  # pragma: no cover - manifest kinds are closed above
             raise ValueError(f"unknown arena object kind {kind!r}")
     state.update(plain)
@@ -347,7 +300,7 @@ class SharedCsrArena:
         if arena is None:
             raise ValueError(
                 "state contains no shareable arrays (ndarray / CSRGraph "
-                "/ SnapshotDelta / PrunePlan values)"
+                "values)"
             )
         return arena
 

@@ -10,7 +10,9 @@ Key contract points:
 
 * ``select`` must perform **all** of its shortest-path work through
   :meth:`repro.core.budget.SPBudget.charge` with phase ``"generation"``.
-* Selectors may return the distance rows they computed along the way
+* Selectors take their rows from :func:`repro.graph.pair.pair_rows`
+  over the query's :class:`~repro.graph.pair.SnapshotPair` (Algorithm 1
+  passes it as ``pair=``; a direct call builds one) and may return them
   (``d1_rows`` / ``d2_rows``) so the top-k phase doesn't pay twice — this
   is how dispersion-based selection achieves Table 1's ``m``-SSSP
   generation phase that doubles as the candidates' ``G_t1`` rows, and how
@@ -29,9 +31,9 @@ import numpy as np
 
 from repro.core.budget import SPBudget
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 
 Node = Hashable
-DistanceRow = Dict[Node, float]
 
 #: Phase label selectors must use when charging generation-time SSSPs.
 GENERATION_PHASE = "generation"
@@ -49,14 +51,15 @@ class SelectionResult:
         The nominated nodes, in rank order (best first), all present in
         ``G_t1``.
     d1_rows / d2_rows:
-        Distance rows (``{target: distance}``) already computed during
-        generation, keyed by source node.  The top-k phase reuses them
-        instead of recomputing (and recharging) the SSSP.
+        Distance rows already computed during generation, keyed by
+        source node: :func:`~repro.graph.pair.pair_rows` arrays in
+        ``G_t1``'s node order.  The top-k phase reuses them instead of
+        recomputing (and recharging) the SSSP.
     """
 
     candidates: List[Node]
-    d1_rows: Dict[Node, DistanceRow] = field(default_factory=dict)
-    d2_rows: Dict[Node, DistanceRow] = field(default_factory=dict)
+    d1_rows: Dict[Node, np.ndarray] = field(default_factory=dict)
+    d2_rows: Dict[Node, np.ndarray] = field(default_factory=dict)
 
 
 class CandidateSelector(ABC):
@@ -73,6 +76,7 @@ class CandidateSelector(ABC):
         m: int,
         budget: SPBudget,
         rng: Optional[np.random.Generator] = None,
+        *, pair: Optional[SnapshotPair] = None,
     ) -> SelectionResult:
         """Nominate up to ``m`` candidate endpoints.
 
@@ -89,6 +93,10 @@ class CandidateSelector(ABC):
         rng:
             Seeded generator for any randomised choice (landmark
             sampling).  Deterministic selectors ignore it.
+        pair:
+            The query's row source over ``g1``/``g2``; selectors that
+            compute rows build one when it is ``None``
+            (:meth:`SnapshotPair.of`).
         """
 
     @staticmethod

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.budget import SPBudget
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 from repro.selection.base import (
     CandidateSelector,
     SelectionResult,
@@ -43,6 +44,7 @@ class _DegreeScoreSelector(CandidateSelector):
         m: int,
         budget: SPBudget,
         rng: Optional[np.random.Generator] = None,
+        *, pair: Optional[SnapshotPair] = None,
     ) -> SelectionResult:
         self._check_m(m)
         scores: Dict[Node, float] = {

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.budget import SPBudget
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 from repro.selection.base import (
     CandidateSelector,
     SelectionResult,
@@ -62,6 +63,7 @@ class _ClassifierSelector(CandidateSelector):
         m: int,
         budget: SPBudget,
         rng: Optional[np.random.Generator] = None,
+        *, pair: Optional[SnapshotPair] = None,
     ) -> SelectionResult:
         from repro.ml.features import extract_node_features
 
@@ -69,7 +71,7 @@ class _ClassifierSelector(CandidateSelector):
         # Seeded default: an rng-less call must still be reproducible
         rng = rng if rng is not None else np.random.default_rng(0)
         l = effective_num_landmarks(self.model.num_landmarks, m, tables=3)
-        feats = extract_node_features(g1, g2, l, rng, budget=budget)
+        feats = extract_node_features(g1, g2, l, rng, budget=budget, pair=pair)
         matrix = self._feature_matrix(feats.matrix, g1, g2)
         proba = self.model.score_nodes(matrix)
 

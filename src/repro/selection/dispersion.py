@@ -28,8 +28,9 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.budget import SPBudget
+from repro.graph.csr import UNREACHED
 from repro.graph.graph import Graph
-from repro.graph.traversal import single_source_distances
+from repro.graph.pair import SnapshotPair, pair_rows
 from repro.selection.base import (
     GENERATION_PHASE,
     CandidateSelector,
@@ -38,25 +39,24 @@ from repro.selection.base import (
 )
 
 Node = Hashable
-DistanceRow = Dict[Node, float]
 
 
 def greedy_dispersion(
-    g1: Graph,
+    pair: SnapshotPair,
     count: int,
     mode: str,
     budget: SPBudget,
     rng: np.random.Generator,
     phase: str = GENERATION_PHASE,
-) -> Tuple[List[Node], Dict[Node, DistanceRow]]:
-    """Greedily pick ``count`` dispersed nodes from ``g1``.
+) -> Tuple[List[Node], Dict[Node, np.ndarray]]:
+    """Greedily pick ``count`` dispersed nodes from ``G_t1``.
 
     Parameters
     ----------
-    g1:
-        The first snapshot (dispersion never looks at ``G_t2``).
+    pair:
+        The snapshot pair (dispersion only looks at ``G_t1``).
     count:
-        Number of nodes to select (clamped to ``g1``'s node count).
+        Number of nodes to select (clamped to ``G_t1``'s node count).
     mode:
         ``"min"`` for MaxMin (maximise the minimum distance to the
         selected set) or ``"avg"`` for MaxAvg (maximise the average).
@@ -73,16 +73,15 @@ def greedy_dispersion(
     """
     if mode not in ("min", "avg"):
         raise ValueError(f"mode must be 'min' or 'avg', got {mode!r}")
-    nodes = list(g1.nodes())
+    nodes = pair.nodes
     count = min(count, len(nodes))
     if count == 0:
         return [], {}
-    index = {u: i for i, u in enumerate(nodes)}
     far = float(len(nodes))  # finite sentinel for "unreachable"
 
     first = nodes[int(rng.integers(len(nodes)))]
     selected: List[Node] = []
-    rows: Dict[Node, DistanceRow] = {}
+    rows: Dict[Node, np.ndarray] = {}
 
     # Aggregates of distance-to-selected-set per node.
     min_dist = np.full(len(nodes), np.inf)
@@ -92,14 +91,12 @@ def greedy_dispersion(
     current = first
     for _ in range(count):
         budget.charge(phase, "g1", 1)
-        row = single_source_distances(g1, current)
+        row = pair_rows(pair, [current], "g1")[0]
         rows[current] = row
         selected.append(current)
-        chosen[index[current]] = True
+        chosen[pair.index[current]] = True
 
-        dist_vec = np.full(len(nodes), far)
-        for v, d in row.items():
-            dist_vec[index[v]] = d
+        dist_vec = np.where(row == UNREACHED, far, row)
         np.minimum(min_dist, dist_vec, out=min_dist)
         sum_dist += dist_vec
 
@@ -123,11 +120,14 @@ class _DispersionSelector(CandidateSelector):
         m: int,
         budget: SPBudget,
         rng: Optional[np.random.Generator] = None,
+        *, pair: Optional[SnapshotPair] = None,
     ) -> SelectionResult:
         self._check_m(m)
         # Seeded default: an rng-less call must still be reproducible
         rng = rng if rng is not None else np.random.default_rng(0)
-        selected, rows = greedy_dispersion(g1, m, self.mode, budget, rng)
+        selected, rows = greedy_dispersion(
+            SnapshotPair.of(g1, g2, pair), m, self.mode, budget, rng
+        )
         return SelectionResult(candidates=selected, d1_rows=rows)
 
 

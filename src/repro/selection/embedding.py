@@ -25,12 +25,14 @@ paper's choice to rank on raw distance changes.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.budget import SPBudget
+from repro.graph.csr import UNREACHED
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 from repro.selection.base import (
     CandidateSelector,
     SelectionResult,
@@ -45,7 +47,6 @@ from repro.selection.landmark import (
 )
 
 Node = Hashable
-DistanceRow = Dict[Node, float]
 
 
 def classical_mds(
@@ -142,19 +143,19 @@ class CoordDiffSelector(CandidateSelector):
 
     def _pick_landmarks(
         self,
-        g1: Graph,
+        pair: SnapshotPair,
         l: int,
         budget: SPBudget,
         rng: np.random.Generator,
-    ) -> Tuple[List[Node], Dict[Node, DistanceRow]]:
+    ) -> Tuple[List[Node], Dict[Node, np.ndarray]]:
         if self.landmark_policy == "random":
             from repro.selection.landmark import sample_landmarks
 
-            landmarks = sample_landmarks(g1, l, rng)
-            rows1 = landmark_rows(g1, landmarks, budget, "g1")
+            landmarks = sample_landmarks(pair.g1, l, rng)
+            rows1 = landmark_rows(pair, landmarks, budget, "g1")
             return landmarks, rows1
         mode = "min" if self.landmark_policy == "maxmin" else "avg"
-        return greedy_dispersion(g1, l, mode, budget, rng)
+        return greedy_dispersion(pair, l, mode, budget, rng)
 
     def select(
         self,
@@ -163,38 +164,38 @@ class CoordDiffSelector(CandidateSelector):
         m: int,
         budget: SPBudget,
         rng: Optional[np.random.Generator] = None,
+        *, pair: Optional[SnapshotPair] = None,
     ) -> SelectionResult:
         self._check_m(m)
         # Seeded default: an rng-less call must still be reproducible
         rng = rng if rng is not None else np.random.default_rng(0)
+        pair = SnapshotPair.of(g1, g2, pair)
         l = effective_num_landmarks(self.num_landmarks, m)
-        landmarks, rows1 = self._pick_landmarks(g1, l, budget, rng)
-        rows2 = landmark_rows(g2, landmarks, budget, "g2")
+        landmarks, rows1 = self._pick_landmarks(pair, l, budget, rng)
+        rows2 = landmark_rows(pair, landmarks, budget, "g2")
+        if not landmarks:  # G_t1 has no nodes
+            return SelectionResult(candidates=[])
 
         # Landmark skeleton from t1 pairwise distances (rows1 contains
-        # every landmark-to-landmark distance already).
-        far = float(g1.num_nodes)
-        skeleton = np.full((l, l), far)
-        for i, wi in enumerate(landmarks):
-            for j, wj in enumerate(landmarks):
-                d = rows1[wi].get(wj)
-                if d is not None:
-                    skeleton[i, j] = d
+        # every landmark-to-landmark distance already).  Unreachable
+        # counts as n here and as inf in the per-node vectors below.
+        lv1 = np.stack([rows1[w] for w in landmarks])
+        lv2 = np.stack([rows2[w] for w in landmarks])
+        at = [pair.index[w] for w in landmarks]
+        skeleton = np.where(
+            lv1[:, at] == UNREACHED, float(len(pair.nodes)), lv1[:, at]
+        )
         np.fill_diagonal(skeleton, 0.0)
         dims = min(self.dimensions, max(1, l - 1))
         landmark_coords = classical_mds(skeleton, dims)
 
         # Per-node displacement between the two trilaterated positions.
-        nodes = list(g1.nodes())
+        vec1 = np.where(lv1 == UNREACHED, np.inf, lv1).T.copy()
+        vec2 = np.where(lv2 == UNREACHED, np.inf, lv2).T.copy()
         scores: Dict[Node, float] = {}
-        vec1 = np.empty(l)
-        vec2 = np.empty(l)
-        for u in nodes:
-            for j, w in enumerate(landmarks):
-                vec1[j] = rows1[w].get(u, np.inf)
-                vec2[j] = rows2[w].get(u, np.inf)
-            p1 = trilaterate(landmark_coords, vec1)
-            p2 = trilaterate(landmark_coords, vec2)
+        for u, v1, v2 in zip(pair.nodes, vec1, vec2):
+            p1 = trilaterate(landmark_coords, v1)
+            p2 = trilaterate(landmark_coords, v2)
             scores[u] = float(np.linalg.norm(p1 - p2))
 
         candidates = assemble_candidates(landmarks, scores, m)

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.budget import SPBudget
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 from repro.selection.base import (
     CandidateSelector,
     SelectionResult,
@@ -63,18 +64,22 @@ class _HybridSelector(CandidateSelector):
         m: int,
         budget: SPBudget,
         rng: Optional[np.random.Generator] = None,
+        *, pair: Optional[SnapshotPair] = None,
     ) -> SelectionResult:
         self._check_m(m)
         # Seeded default: an rng-less call must still be reproducible
         rng = rng if rng is not None else np.random.default_rng(0)
+        pair = SnapshotPair.of(g1, g2, pair)
         l = effective_num_landmarks(self.num_landmarks, m)
         # Dispersion greedy: l SSSPs on G_t1, rows kept.
         landmarks, rows1 = greedy_dispersion(
-            g1, l, self.dispersion_mode, budget, rng
+            pair, l, self.dispersion_mode, budget, rng
         )
         # Landmark rows on G_t2: l more SSSPs.
-        rows2 = landmark_rows(g2, landmarks, budget, "g2")
-        scores = landmark_delta_scores(g1, landmarks, rows1, rows2, self.norm)
+        rows2 = landmark_rows(pair, landmarks, budget, "g2")
+        scores = landmark_delta_scores(
+            pair.nodes, landmarks, rows1, rows2, self.norm
+        )
         candidates = assemble_candidates(landmarks, scores, m)
         return SelectionResult(
             candidates=candidates, d1_rows=rows1, d2_rows=rows2

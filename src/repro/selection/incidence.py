@@ -34,6 +34,7 @@ from repro.core.budget import SPBudget
 from repro.core.pairs import ConvergingPair, canonical_pair
 from repro.graph.betweenness import approximate_edge_betweenness, edge_betweenness
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 from repro.graph.traversal import single_source_distances
 from repro.selection.base import (
     CandidateSelector,
@@ -112,6 +113,7 @@ class IncDegSelector(CandidateSelector):
         m: int,
         budget: SPBudget,
         rng: Optional[np.random.Generator] = None,
+        *, pair: Optional[SnapshotPair] = None,
     ) -> SelectionResult:
         self._check_m(m)
         scores = {
@@ -154,6 +156,7 @@ class IncBetSelector(CandidateSelector):
         m: int,
         budget: SPBudget,
         rng: Optional[np.random.Generator] = None,
+        *, pair: Optional[SnapshotPair] = None,
     ) -> SelectionResult:
         self._check_m(m)
         if self.precomputed_scores is not None:
@@ -181,6 +184,7 @@ class IncDeg2Selector(CandidateSelector):
         m: int,
         budget: SPBudget,
         rng: Optional[np.random.Generator] = None,
+        *, pair: Optional[SnapshotPair] = None,
     ) -> SelectionResult:
         self._check_m(m)
         scores = {u: float(g2.degree(u)) for u in active_nodes(g1, g2)}
@@ -215,6 +219,7 @@ class IncRecvSelector(CandidateSelector):
         m: int,
         budget: SPBudget,
         rng: Optional[np.random.Generator] = None,
+        *, pair: Optional[SnapshotPair] = None,
     ) -> SelectionResult:
         self._check_m(m)
         bc2 = (

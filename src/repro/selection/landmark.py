@@ -23,6 +23,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.budget import SPBudget
+from repro.graph.csr import UNREACHED
 from repro.graph.graph import Graph
 from repro.graph.landmarks import (
     LandmarkTable,
@@ -30,7 +31,7 @@ from repro.graph.landmarks import (
     delta_linf_norms,
     landmark_delta_vectors,
 )
-from repro.graph.traversal import single_source_distances
+from repro.graph.pair import SnapshotPair, pair_rows
 from repro.selection.base import (
     GENERATION_PHASE,
     CandidateSelector,
@@ -39,7 +40,7 @@ from repro.selection.base import (
 )
 
 Node = Hashable
-DistanceRow = Dict[Node, float]
+Rows = Dict[Node, np.ndarray]
 
 #: The paper fixes l = 10 for all landmark-based algorithms ("a larger
 #: number of landmarks did not improve the performance").
@@ -72,61 +73,60 @@ def sample_landmarks(
 
 
 def landmark_rows(
-    graph: Graph,
+    pair: SnapshotPair,
     landmarks: Sequence[Node],
     budget: SPBudget,
     snapshot: str,
     phase: str = GENERATION_PHASE,
-) -> Dict[Node, DistanceRow]:
-    """One charged SSSP row per landmark on ``graph``."""
-    rows: Dict[Node, DistanceRow] = {}
-    for w in landmarks:
+) -> Rows:
+    """One charged SSSP row per landmark on ``snapshot``, in one block."""
+    for _ in landmarks:
         budget.charge(phase, snapshot, 1)
-        rows[w] = single_source_distances(graph, w)
-    return rows
+    return dict(zip(landmarks, pair_rows(pair, landmarks, snapshot)))
 
 
 def tables_from_rows(
     landmarks: Sequence[Node],
     universe: Sequence[Node],
-    rows1: Dict[Node, DistanceRow],
-    rows2: Dict[Node, DistanceRow],
+    rows1: Rows,
+    rows2: Rows,
 ) -> Tuple[LandmarkTable, LandmarkTable]:
-    """Assemble both snapshots' :class:`LandmarkTable` from cached rows."""
-    universe = list(universe)
-    index = {u: i for i, u in enumerate(universe)}
-    mat1 = np.full((len(universe), len(landmarks)), np.inf, dtype=np.float32)
-    mat2 = np.full_like(mat1, np.inf)
-    for j, w in enumerate(landmarks):
-        for v, d in rows1[w].items():
-            i = index.get(v)
-            if i is not None:
-                mat1[i, j] = d
-        for v, d in rows2[w].items():
-            i = index.get(v)
-            if i is not None:
-                mat2[i, j] = d
-    return (
-        LandmarkTable(landmarks, universe, mat1),
-        LandmarkTable(landmarks, universe, mat2),
-    )
+    """Both snapshots' :class:`LandmarkTable` from rows in ``universe`` order."""
+    mats = []
+    for rows in (rows1, rows2):
+        mat = np.full((len(universe), len(landmarks)), np.inf, np.float32)
+        for j, w in enumerate(landmarks):
+            mat[:, j] = np.where(rows[w] == UNREACHED, np.inf, rows[w])
+        mats.append(LandmarkTable(landmarks, universe, mat))
+    return mats[0], mats[1]
 
 
-def landmark_delta_scores(
-    g1: Graph,
+def landmark_delta_norms(
+    universe: Sequence[Node],
     landmarks: Sequence[Node],
-    rows1: Dict[Node, DistanceRow],
-    rows2: Dict[Node, DistanceRow],
+    rows1: Rows,
+    rows2: Rows,
     norm: str,
-) -> Dict[Node, float]:
+) -> np.ndarray:
     """Per-node landmark-delta norm (``norm`` is ``"l1"`` or ``"linf"``)."""
     if norm not in ("l1", "linf"):
         raise ValueError(f"norm must be 'l1' or 'linf', got {norm!r}")
-    universe = list(g1.nodes())
-    t1, t2 = tables_from_rows(landmarks, universe, rows1, rows2)
-    delta = landmark_delta_vectors(t1, t2)
-    norms = delta_l1_norms(delta) if norm == "l1" else delta_linf_norms(delta)
-    return {u: float(norms[i]) for i, u in enumerate(universe)}
+    delta = landmark_delta_vectors(
+        *tables_from_rows(landmarks, universe, rows1, rows2)
+    )
+    return delta_l1_norms(delta) if norm == "l1" else delta_linf_norms(delta)
+
+
+def landmark_delta_scores(
+    universe: Sequence[Node],
+    landmarks: Sequence[Node],
+    rows1: Rows,
+    rows2: Rows,
+    norm: str,
+) -> Dict[Node, float]:
+    """:func:`landmark_delta_norms` keyed by node."""
+    norms = landmark_delta_norms(universe, landmarks, rows1, rows2, norm)
+    return dict(zip(universe, norms.tolist()))
 
 
 def assemble_candidates(
@@ -161,20 +161,22 @@ class _RandomLandmarkSelector(CandidateSelector):
         m: int,
         budget: SPBudget,
         rng: Optional[np.random.Generator] = None,
+        *, pair: Optional[SnapshotPair] = None,
     ) -> SelectionResult:
         self._check_m(m)
         # Seeded default: an rng-less call must still be reproducible
         rng = rng if rng is not None else np.random.default_rng(0)
+        pair = SnapshotPair.of(g1, g2, pair)
         l = effective_num_landmarks(self.num_landmarks, m)
         landmarks = sample_landmarks(g1, l, rng)
-        rows1 = landmark_rows(g1, landmarks, budget, "g1")
-        rows2 = landmark_rows(g2, landmarks, budget, "g2")
-        scores = landmark_delta_scores(g1, landmarks, rows1, rows2, self.norm)
+        rows1 = landmark_rows(pair, landmarks, budget, "g1")
+        rows2 = landmark_rows(pair, landmarks, budget, "g2")
+        scores = landmark_delta_scores(
+            pair.nodes, landmarks, rows1, rows2, self.norm
+        )
         candidates = assemble_candidates(landmarks, scores, m)
         return SelectionResult(
-            candidates=candidates,
-            d1_rows={w: rows1[w] for w in landmarks},
-            d2_rows={w: rows2[w] for w in landmarks},
+            candidates=candidates, d1_rows=rows1, d2_rows=rows2
         )
 
 

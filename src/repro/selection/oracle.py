@@ -20,6 +20,7 @@ from repro.core.budget import SPBudget
 from repro.core.cover import greedy_max_coverage
 from repro.core.pairgraph import PairGraph
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 from repro.selection.base import CandidateSelector, SelectionResult
 
 
@@ -46,6 +47,7 @@ class GreedyCoverOracle(CandidateSelector):
         m: int,
         budget: SPBudget,
         rng: Optional[np.random.Generator] = None,
+        *, pair: Optional[SnapshotPair] = None,
     ) -> SelectionResult:
         self._check_m(m)
         return SelectionResult(

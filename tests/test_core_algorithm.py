@@ -1,14 +1,18 @@
 """Unit tests for repro.core.algorithm (Algorithm 1)."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithm import find_top_k_converging_pairs
 from repro.core.budget import BudgetExceededError, SPBudget
+from repro.core.cover import greedy_vertex_cover
 from repro.core.pairgraph import PairGraph
 from repro.core.pairs import converging_pairs_at_threshold, top_k_converging_pairs
+from repro.graph.csr import UNREACHED
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 from repro.graph.traversal import bfs_distances
 from repro.graph.validation import GraphValidationError
 from repro.selection.base import CandidateSelector, SelectionResult
@@ -17,8 +21,21 @@ from repro.selection.oracle import GreedyCoverOracle
 from conftest import path_graph, random_snapshot_pair
 
 
+def as_row(pair, dist):
+    """A distance map as a cached row: an array in G_t1's node order."""
+    row = np.full(len(pair.nodes), UNREACHED, dtype=np.int64)
+    for v, d in dist.items():
+        if v in pair.index:
+            row[pair.index[v]] = d
+    return row
+
+
 class FixedSelector(CandidateSelector):
-    """Test double returning a fixed candidate list (no generation cost)."""
+    """Test double returning a fixed candidate list (no generation cost).
+
+    Cached rows are given as distance maps and handed back as rows of
+    the query's pair.
+    """
 
     name = "Fixed"
 
@@ -29,13 +46,14 @@ class FixedSelector(CandidateSelector):
         self.d2_rows = d2_rows or {}
         self.generation_cost = generation_cost
 
-    def select(self, g1, g2, m, budget, rng=None):
+    def select(self, g1, g2, m, budget, rng=None, *, pair=None):
         if self.generation_cost:
             budget.charge("generation", "g1", self.generation_cost)
+        pair = SnapshotPair.of(g1, g2, pair)
         return SelectionResult(
             candidates=list(self.candidates),
-            d1_rows=dict(self.d1_rows),
-            d2_rows=dict(self.d2_rows),
+            d1_rows={c: as_row(pair, d) for c, d in self.d1_rows.items()},
+            d2_rows={c: as_row(pair, d) for c, d in self.d2_rows.items()},
         )
 
 
@@ -232,26 +250,24 @@ class TestCSRScoringPath:
     """The vectorised top-k phase must handle every cache mix exactly
     like the dict path (which the weighted branch still uses)."""
 
-    def _run_both(self, g1, g2, selector, k=5, m=5, prune=False):
+    def _run_both(self, g1, g2, selector, k=5, m=5):
         from repro.core import algorithm as alg
 
         fast = find_top_k_converging_pairs(g1, g2, k=k, m=m,
-                                           selector=selector, seed=0,
-                                           prune=prune)
+                                           selector=selector, seed=0)
         original = alg._score_candidates_csr
         alg._score_candidates_csr = alg._score_candidates_dict
         try:
             ref = find_top_k_converging_pairs(g1, g2, k=k, m=m,
-                                              selector=selector, seed=0,
-                                              prune=prune)
+                                              selector=selector, seed=0)
         finally:
             alg._score_candidates_csr = original
         return fast, ref
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data(), prune=st.booleans())
-    def test_matches_dict_path(self, data, prune):
+    @given(data=st.data())
+    def test_matches_dict_path(self, data):
         g1, g2 = data.draw(mixed_id_snapshot_pair())
         nodes = list(g1.nodes())
         # Long prefixes make many candidate–candidate pairs, which the
@@ -268,7 +284,7 @@ class TestCSRScoringPath:
         positive = len(top_k_converging_pairs(g1, g2, k=len(nodes) ** 2))
         k = data.draw(st.integers(min_value=1, max_value=positive + 3))
         fast, ref = self._run_both(g1, g2, selector, k=k,
-                                   m=len(candidates), prune=prune)
+                                   m=len(candidates))
         assert [(p.u, p.v, p.d1, p.d2) for p in fast.pairs] == [
             (p.u, p.v, p.d1, p.d2) for p in ref.pairs
         ]
@@ -335,3 +351,102 @@ class TestCSRScoringPath:
             g1, g2, k=2, m=2, selector=FixedSelector([0, 2])
         )
         assert result.pairs[0].delta == pytest.approx(3.5)
+
+
+class TestBudgetLedgerPin:
+    """Fresh rows are computed in blocks, yet each one still charges one
+    SSSP, in candidate order — batching is an implementation detail of
+    *computing* the charged rows, never a way to skip a charge."""
+
+    def test_fresh_t2_row_charges_one_sssp(self, shortcut_pair):
+        result = find_top_k_converging_pairs(
+            *shortcut_pair, k=1, m=3, selector=FixedSelector([0, 2, 4])
+        )
+        assert result.budget.spent == 6
+        assert result.budget.by_phase() == {"topk": 6}
+
+    def test_cached_t1_row_keeps_ledger(self, shortcut_pair):
+        g1, g2 = shortcut_pair
+        # Candidate 0's t1 row is cached (free); its t2 row is computed
+        # fresh, and the ledger must look exactly like any other single
+        # g2 charge.
+        selector = FixedSelector([0], d1_rows={0: dict(bfs_distances(g1, 0))})
+        result = find_top_k_converging_pairs(
+            g1, g2, k=1, m=1, selector=selector
+        )
+        assert result.budget.spent == 1
+        assert result.budget.by_phase() == {"topk": 1}
+        assert result.pairs[0].pair == (0, 5)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_partial_caches_identical_at_any_worker_count(self, workers):
+        g1, g2 = random_snapshot_pair(num_nodes=30, num_edges=70, seed=11)
+        nodes = list(g1.nodes())
+        cached = nodes[0]
+        selector = FixedSelector(
+            [cached, nodes[1], nodes[2]],
+            d1_rows={cached: dict(bfs_distances(g1, cached))},
+        )
+        result = find_top_k_converging_pairs(
+            g1, g2, k=5, m=3, selector=selector, workers=workers
+        )
+        assert result.budget.spent == 5
+        assert result.budget.by_phase() == {"topk": 5}
+        reference = find_top_k_converging_pairs(
+            g1, g2, k=5, m=3, selector=selector, workers=1
+        )
+        assert [(p.pair, p.d1, p.d2) for p in result.pairs] == [
+            (p.pair, p.d1, p.d2) for p in reference.pairs
+        ]
+
+
+@st.composite
+def integer_weighted_snapshot_pair(draw):
+    """:func:`mixed_id_snapshot_pair` with integer weights (exact float
+    sums): t1 edges keep their weight at t2, inserted edges draw one."""
+    g1, g2 = draw(mixed_id_snapshot_pair())
+    weight = st.sampled_from([1.0, 2.0, 3.0])
+    w1 = Graph()
+    for u in g1.nodes():
+        w1.add_node(u)
+    for u, v in g1.edges():
+        w1.add_edge(u, v, draw(weight))
+    w2 = w1.copy()
+    for u, v in g2.edges():
+        if not w2.has_edge(u, v):
+            w2.add_edge(u, v, draw(weight))
+    w2.add_edge("w-a", "w-b", 2.0)  # weighted even if every draw was 1.0
+    return w1, w2
+
+
+class TestVertexCoverRecoversTopK:
+    """Paper property: a candidate set containing a vertex cover of the
+    pair graph G^p_k makes Algorithm 1 return the exact top-k, ties at
+    the k-th Δ included, for exactly 2 SSSPs per candidate."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), weighted=st.booleans())
+    def test_cover_candidates_give_exact_top_k(self, data, weighted):
+        strategy = (integer_weighted_snapshot_pair() if weighted
+                    else mixed_id_snapshot_pair())
+        g1, g2 = data.draw(strategy)
+        positive = len(top_k_converging_pairs(
+            g1, g2, k=g1.num_nodes ** 2, engine="dict"))
+        k = data.draw(st.integers(min_value=1, max_value=positive + 2))
+        truth = top_k_converging_pairs(g1, g2, k=k, engine="dict")
+        cover = greedy_vertex_cover(PairGraph(truth)) if truth else []
+        others = [u for u in g1.nodes() if u not in set(cover)]
+        padding = data.draw(st.lists(st.sampled_from(others), unique=True)
+                            if others else st.just([]))
+        candidates = list(cover) + padding
+        if not candidates:
+            candidates = [next(iter(g1.nodes()))]
+        result = find_top_k_converging_pairs(
+            g1, g2, k=k, m=len(candidates),
+            selector=FixedSelector(candidates),
+        )
+        assert [(p.u, p.v, p.d1, p.d2) for p in result.pairs] == [
+            (p.u, p.v, p.d1, p.d2) for p in truth
+        ]
+        assert result.budget.spent == 2 * len(candidates)

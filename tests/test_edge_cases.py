@@ -64,14 +64,14 @@ class TestMisbehavedSelectors:
     class Duplicates(CandidateSelector):
         name = "Dup"
 
-        def select(self, g1, g2, m, budget, rng=None):
+        def select(self, g1, g2, m, budget, rng=None, *, pair=None):
             first = next(iter(g1.nodes()))
             return SelectionResult(candidates=[first, first])
 
     class Foreign(CandidateSelector):
         name = "Foreign"
 
-        def select(self, g1, g2, m, budget, rng=None):
+        def select(self, g1, g2, m, budget, rng=None, *, pair=None):
             return SelectionResult(candidates=["not-a-node"])
 
     def test_duplicate_candidates_rejected(self, shortcut_pair):

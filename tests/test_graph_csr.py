@@ -65,6 +65,58 @@ class TestCSRGraph:
         assert csr.num_edges == 0
 
 
+def reference_from_graph(graph, nodes=None):
+    """The straightforward per-node CSR build: one sorted list per row."""
+    node_list = list(nodes) if nodes is not None else list(graph.nodes())
+    index = {u: i for i, u in enumerate(node_list)}
+    counts = np.zeros(len(node_list) + 1, dtype=np.int64)
+    rows = []
+    for i, u in enumerate(node_list):
+        nbrs = sorted(index[v] for v in graph.neighbors(u) if v in index)
+        counts[i + 1] = len(nbrs)
+        rows.append(np.array(nbrs, dtype=np.int32))
+    indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int32)
+    return node_list, np.cumsum(counts), indices.astype(np.int32)
+
+
+@st.composite
+def mixed_id_graph_and_universe(draw):
+    """A graph over mixed int/str ids with isolated nodes (possibly
+    empty), and either no universe or a shuffled subset of its nodes."""
+    ids = st.one_of(st.integers(0, 30), st.text("abc", min_size=1, max_size=2))
+    g = Graph()
+    for u in draw(st.lists(ids, max_size=6)):
+        g.add_node(u)
+    for u, v in draw(st.lists(st.tuples(ids, ids), max_size=40)):
+        if u != v:
+            g.add_edge(u, v)
+    nodes = list(g.nodes())
+    if not draw(st.booleans()):
+        return g, None
+    order = draw(st.permutations(nodes))
+    return g, order[: draw(st.integers(0, len(nodes)))]
+
+
+class TestFromGraphMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(case=mixed_id_graph_and_universe())
+    def test_byte_identical_to_per_node_build(self, case):
+        g, universe = case
+        csr = CSRGraph.from_graph(g, nodes=universe)
+        nodes, indptr, indices = reference_from_graph(g, universe)
+        assert csr.nodes == nodes
+        assert csr.indptr.dtype == indptr.dtype == np.int64
+        assert csr.indices.dtype == indices.dtype == np.int32
+        assert csr.indptr.tobytes() == indptr.tobytes()
+        assert csr.indices.tobytes() == indices.tobytes()
+
+    def test_empty_graph(self):
+        csr = CSRGraph.from_graph(Graph())
+        _, indptr, indices = reference_from_graph(Graph())
+        assert csr.indptr.tobytes() == indptr.tobytes()
+        assert csr.indices.dtype == np.int32 and csr.indices.size == 0
+
+
 class TestBFSLevels:
     def test_path(self):
         g = path_graph(6)

@@ -3,9 +3,7 @@
 The contract under test (docs/perf.md): repairing a t1 level array
 through :class:`SnapshotDelta` yields levels **bit-identical** to an
 independent full BFS on ``G_t2`` — for every source, including sources
-that only exist in ``G_t2`` — and plugging the repair into Algorithm 1
-changes no budget ledger entry (a repaired t2 traversal still charges
-as one SSSP).
+that only exist in ``G_t2``.
 """
 
 import numpy as np
@@ -14,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.algorithm import find_top_k_converging_pairs
 from repro.graph.csr import UNREACHED, bfs_levels
 from repro.graph.graph import Graph
 from repro.graph.incremental import (
@@ -23,7 +20,6 @@ from repro.graph.incremental import (
     levels_pair_indexed,
     repair_levels,
 )
-from repro.selection.base import CandidateSelector, SelectionResult
 
 from conftest import random_snapshot_pair, to_networkx
 
@@ -185,72 +181,3 @@ class TestEquivalenceProperty:
                 assert np.all(lv1 == UNREACHED)
             else:
                 assert np.array_equal(lv1, bfs_levels(delta.csr1, idx1))
-
-
-class _FixedSelector(CandidateSelector):
-    """Test double: fixed candidates, optional precomputed rows."""
-
-    name = "Fixed"
-
-    def __init__(self, candidates, d1_rows=None, d2_rows=None):
-        self.candidates = candidates
-        self.d1_rows = d1_rows or {}
-        self.d2_rows = d2_rows or {}
-
-    def select(self, g1, g2, m, budget, rng=None):
-        return SelectionResult(
-            candidates=list(self.candidates),
-            d1_rows=dict(self.d1_rows),
-            d2_rows=dict(self.d2_rows),
-        )
-
-
-class TestBudgetLedgerPin:
-    """The repair is an implementation detail of *computing* the charged
-    t2 row — never a way to skip its charge (the R004 exemption note in
-    repro/lint/rules/budget.py says the same thing in lint terms)."""
-
-    def test_repaired_t2_row_still_charges_one_sssp(self, shortcut_pair):
-        result = find_top_k_converging_pairs(
-            *shortcut_pair, k=1, m=3, selector=_FixedSelector([0, 2, 4])
-        )
-        assert result.budget.spent == 6
-        assert result.budget.by_phase() == {"topk": 6}
-
-    def test_cached_t1_row_fallback_keeps_ledger(self, shortcut_pair):
-        g1, g2 = shortcut_pair
-        from repro.graph.traversal import bfs_distances
-
-        # Candidate 0's t1 row is cached (free); its t2 row has no fresh
-        # t1 traversal to repair from, so it pays a full BFS — but the
-        # ledger must look exactly like any other single g2 charge.
-        selector = _FixedSelector([0], d1_rows={0: dict(bfs_distances(g1, 0))})
-        result = find_top_k_converging_pairs(
-            g1, g2, k=1, m=1, selector=selector
-        )
-        assert result.budget.spent == 1
-        assert result.budget.by_phase() == {"topk": 1}
-        assert result.pairs[0].pair == (0, 5)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_partial_caches_identical_at_any_worker_count(self, workers):
-        g1, g2 = random_snapshot_pair(num_nodes=30, num_edges=70, seed=11)
-        from repro.graph.traversal import bfs_distances
-
-        nodes = list(g1.nodes())
-        cached = nodes[0]
-        selector = _FixedSelector(
-            [cached, nodes[1], nodes[2]],
-            d1_rows={cached: dict(bfs_distances(g1, cached))},
-        )
-        result = find_top_k_converging_pairs(
-            g1, g2, k=5, m=3, selector=selector, workers=workers
-        )
-        assert result.budget.spent == 5
-        assert result.budget.by_phase() == {"topk": 5}
-        reference = find_top_k_converging_pairs(
-            g1, g2, k=5, m=3, selector=selector, workers=1
-        )
-        assert [(p.pair, p.d1, p.d2) for p in result.pairs] == [
-            (p.pair, p.d1, p.d2) for p in reference.pairs
-        ]

@@ -197,6 +197,28 @@ def test_r004_guards_pruned_entry_points():
     assert charged == []
 
 
+def test_r004_guards_the_pair_row_source():
+    """Algorithm 1's row source charges nothing itself, so every caller
+    outside repro/graph must charge."""
+    from repro.lint.rules.budget import SSSP_ENTRY_POINTS
+
+    assert "pair_rows" in SSSP_ENTRY_POINTS
+    uncharged = lint("""
+        from repro.graph.pair import pair_rows
+        def rows(pair, sources):
+            return pair_rows(pair, sources, "g1")
+    """)
+    assert codes(uncharged) == ["R004"]
+    charged = lint("""
+        from repro.graph.pair import pair_rows
+        def rows(pair, sources, budget):
+            for _ in sources:
+                budget.charge("generation", "g1", 1)
+            return pair_rows(pair, sources, "g1")
+    """)
+    assert charged == []
+
+
 # ----------------------------------------------------------------------
 # R005 — mutable default arguments
 # ----------------------------------------------------------------------

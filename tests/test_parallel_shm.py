@@ -24,8 +24,7 @@ import pytest
 
 from conftest import random_snapshot_pair
 from repro.graph.csr import bfs_levels
-from repro.graph.incremental import SnapshotDelta
-from repro.graph.prune import PrunePlan
+from repro.graph.pair import SnapshotPair
 from repro.parallel import (
     ParallelExecutor,
     SharedCsrArena,
@@ -50,12 +49,14 @@ def no_leaked_segments():
 
 
 def _arena_state():
+    """What Algorithm 1 ships to a pool (both CSR views and the t1 → t2
+    map), plus a plain array and plain values."""
     g1, g2 = random_snapshot_pair(40, 100, seed=4)
-    delta = SnapshotDelta.from_graphs(g1, g2)
+    pair = SnapshotPair.from_graphs(g1, g2)
     return {
-        "delta": delta,
-        "plan": PrunePlan.from_delta(delta),
-        "csr": delta.csr1,
+        "csr": pair.csr1,
+        "csr2": pair.csr2,
+        "mapping": pair.mapping,
         "weights": np.arange(8, dtype=np.float64),
         "label": "plain-value",
         "k": 5,
@@ -116,13 +117,9 @@ class TestArenaRoundtrip:
             assert got["csr"].nodes == state["csr"].nodes
             assert np.array_equal(got["csr"].indptr, state["csr"].indptr)
             assert np.array_equal(got["csr"].indices, state["csr"].indices)
-            d0, d1 = state["delta"], got["delta"]
-            assert np.array_equal(d0.mapping, d1.mapping)
-            assert np.array_equal(d0.edge_tails, d1.edge_tails)
-            assert d0.csr2.nodes == d1.csr2.nodes
-            assert np.array_equal(
-                got["plan"].seed_idx1, state["plan"].seed_idx1
-            )
+            assert np.array_equal(got["mapping"], state["mapping"])
+            assert got["csr2"].nodes == state["csr2"].nodes
+            assert np.array_equal(got["csr2"].indices, state["csr2"].indices)
             # Views are read-only: shared pages must never be mutable.
             with pytest.raises(ValueError):
                 got["csr"].indptr[0] = 99

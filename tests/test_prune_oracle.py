@@ -1,11 +1,10 @@
 """Pruning-equivalence differential harness.
 
-The Δ-aware pruning layer promises two things: byte-identical output
-across the whole engine matrix (prune × incremental × worker count ×
-CLI), and an untouched budget ledger — a skipped or level-cut traversal
-charges exactly like the unpruned traversal it replaces, because the
-paper's budget counts SSSP *results obtained*, not edges scanned.  This
-suite pins both, cell by cell.
+The Δ-aware pruning layer of the ground-truth engines promises
+byte-identical output across the engine matrix (prune × incremental ×
+CLI); this suite pins it cell by cell.  Algorithm 1's budgeted path is
+pinned alongside: pairs, candidates and ledger identical at every
+worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.core.pairs import (
     converging_pairs_at_threshold,
     top_k_converging_pairs,
 )
-from repro.graph.graph import Graph
 from repro.selection import get_selector
 
 WORKER_COUNTS = (1, 2, 4)
@@ -66,7 +64,7 @@ class TestGroundTruthMatrix:
 
 
 # ----------------------------------------------------------------------
-# Budgeted path: prune × workers, pairs and ledger identical
+# Budgeted path: pairs and ledger identical at every worker count
 # ----------------------------------------------------------------------
 def _outcome(result):
     return (
@@ -82,74 +80,14 @@ class TestBudgetedMatrix:
     def test_identical_across_prune_and_worker_counts(self, selector_name):
         g1, g2 = random_snapshot_pair(num_nodes=60, num_edges=140, seed=6)
         outcomes = set()
-        for prune in (False, True):
-            for workers in WORKER_COUNTS:
-                result = find_top_k_converging_pairs(
-                    g1, g2, k=12, m=10,
-                    selector=get_selector(selector_name),
-                    seed=11, workers=workers, prune=prune,
-                )
-                outcomes.add(repr(_outcome(result)))
-        assert len(outcomes) == 1
-
-    @pytest.mark.parametrize("k", [1, 3, 20])
-    def test_small_k_prunes_hard_but_stays_identical(self, k):
-        # Small k fills the tracker fast, maximising skips/cuts — the
-        # regime where an unsound bound would actually bite.
-        g1, g2 = random_snapshot_pair(num_nodes=60, num_edges=150, seed=7)
-        base = find_top_k_converging_pairs(
-            g1, g2, k=k, m=12, selector=get_selector("Degree"), seed=5
-        )
-        pruned = find_top_k_converging_pairs(
-            g1, g2, k=k, m=12, selector=get_selector("Degree"), seed=5,
-            prune=True,
-        )
-        assert _outcome(pruned) == _outcome(base)
-
-    def test_skipped_traversals_still_charge_the_ledger(self):
-        # Identical snapshots: with prune=True every candidate's t2
-        # traversal is skipped outright, yet the ledger must not move by
-        # a single charge — the budget counts SSSP results, and the
-        # skipped traversal's result (all Δ ≤ 0) was still obtained.
-        g = path_graph(40)
-        base = find_top_k_converging_pairs(
-            g, g.copy(), k=5, m=8, selector=get_selector("Degree"), seed=1
-        )
         for workers in WORKER_COUNTS:
-            pruned = find_top_k_converging_pairs(
-                g, g.copy(), k=5, m=8, selector=get_selector("Degree"),
-                seed=1, workers=workers, prune=True,
+            result = find_top_k_converging_pairs(
+                g1, g2, k=12, m=10,
+                selector=get_selector(selector_name),
+                seed=11, workers=workers,
             )
-            assert pruned.pairs == [] == base.pairs
-            assert pruned.budget.spent == base.budget.spent
-            assert pruned.budget.by_phase() == base.budget.by_phase()
-
-    def test_cached_selector_rows_stay_free_under_prune(self):
-        # Selectors that pre-pay rows (MMSD caches d1/d2 rows during
-        # generation) keep them free in phase 2; pruning must not
-        # re-charge or un-charge them.
-        g1, g2 = random_snapshot_pair(num_nodes=50, num_edges=120, seed=8)
-        base = find_top_k_converging_pairs(
-            g1, g2, k=6, m=10, selector=get_selector("MMSD"), seed=2
-        )
-        pruned = find_top_k_converging_pairs(
-            g1, g2, k=6, m=10, selector=get_selector("MMSD"), seed=2,
-            prune=True,
-        )
-        assert pruned.budget.by_phase() == base.budget.by_phase()
-        assert pruned.budget.spent == base.budget.spent
-        assert pruned.pairs == base.pairs
-
-    def test_prune_rejects_weighted_snapshots(self):
-        g1 = Graph()
-        g1.add_edge("a", "b", weight=2.0)
-        g2 = g1.copy()
-        g2.add_edge("b", "c", weight=3.0)
-        with pytest.raises(ValueError, match="prune"):
-            find_top_k_converging_pairs(
-                g1, g2, k=2, m=2, selector=get_selector("Degree"),
-                prune=True,
-            )
+            outcomes.add(repr(_outcome(result)))
+        assert len(outcomes) == 1
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,16 @@ import pytest
 
 from repro.core.budget import BudgetExceededError, SPBudget
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 from repro.selection import get_selector
 from repro.selection.dispersion import greedy_dispersion
 
 from conftest import path_graph
+
+
+def on(g):
+    """The snapshot pair (g, g): dispersion only reads G_t1."""
+    return SnapshotPair.from_graphs(g, g)
 
 
 def run(name, g1, g2, m, seed=0):
@@ -22,42 +28,43 @@ class TestGreedyDispersion:
     def test_selects_requested_count(self, path5):
         budget = SPBudget(None)
         nodes, rows = greedy_dispersion(
-            path5, 3, "min", budget, np.random.default_rng(0)
+            on(path5), 3, "min", budget, np.random.default_rng(0)
         )
         assert len(nodes) == 3
         assert len(set(nodes)) == 3
 
     def test_rows_returned_for_every_pick(self, path5):
         budget = SPBudget(None)
+        pair = on(path5)
         nodes, rows = greedy_dispersion(
-            path5, 3, "avg", budget, np.random.default_rng(0)
+            pair, 3, "avg", budget, np.random.default_rng(0)
         )
         assert set(rows) == set(nodes)
         for u, row in rows.items():
-            assert row[u] == 0
+            assert row[pair.index[u]] == 0
 
     def test_charges_one_sssp_per_pick(self, path5):
         budget = SPBudget(10)
-        greedy_dispersion(path5, 4, "min", budget, np.random.default_rng(0))
+        greedy_dispersion(on(path5), 4, "min", budget, np.random.default_rng(0))
         assert budget.spent == 4
         assert budget.by_snapshot() == {"g1": 4}
 
     def test_count_clamped_to_node_count(self, path5):
         budget = SPBudget(None)
         nodes, _ = greedy_dispersion(
-            path5, 50, "min", budget, np.random.default_rng(0)
+            on(path5), 50, "min", budget, np.random.default_rng(0)
         )
         assert len(nodes) == 5
 
     def test_zero_count(self, path5):
         nodes, rows = greedy_dispersion(
-            path5, 0, "min", SPBudget(None), np.random.default_rng(0)
+            on(path5), 0, "min", SPBudget(None), np.random.default_rng(0)
         )
         assert nodes == [] and rows == {}
 
     def test_invalid_mode(self, path5):
         with pytest.raises(ValueError, match="mode"):
-            greedy_dispersion(path5, 2, "median", SPBudget(None),
+            greedy_dispersion(on(path5), 2, "median", SPBudget(None),
                               np.random.default_rng(0))
 
     def test_maxmin_second_pick_is_farthest(self):
@@ -66,21 +73,21 @@ class TestGreedyDispersion:
         g = path_graph(9)
         for seed in range(5):
             nodes, _ = greedy_dispersion(
-                g, 2, "min", SPBudget(None), np.random.default_rng(seed)
+                on(g), 2, "min", SPBudget(None), np.random.default_rng(seed)
             )
             s, t = nodes
             assert abs(s - t) == max(s, 8 - s)
 
     def test_maxmin_spreads_over_components(self, two_components):
         nodes, _ = greedy_dispersion(
-            two_components, 2, "min", SPBudget(None), np.random.default_rng(1)
+            on(two_components), 2, "min", SPBudget(None), np.random.default_rng(1)
         )
         comp = lambda u: 0 if u in (0, 1, 2) else 1
         assert comp(nodes[0]) != comp(nodes[1])
 
     def test_budget_enforced(self, path5):
         with pytest.raises(BudgetExceededError):
-            greedy_dispersion(path5, 4, "min", SPBudget(2),
+            greedy_dispersion(on(path5), 4, "min", SPBudget(2),
                               np.random.default_rng(0))
 
 

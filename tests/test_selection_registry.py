@@ -44,7 +44,7 @@ class TestRegistry:
 
             @register_selector("Degree")
             class Clone(CandidateSelector):  # pragma: no cover
-                def select(self, g1, g2, m, budget, rng=None):
+                def select(self, g1, g2, m, budget, rng=None, *, pair=None):
                     return SelectionResult(candidates=[])
 
     def test_selector_name_attribute(self):

@@ -68,11 +68,13 @@ def test_selector_contract(name, pair, m):
     assert len(set(result.candidates)) == len(result.candidates)
     assert all(u in g1 for u in result.candidates)
 
-    # (4) cached rows are genuine distance rows (source at distance 0).
+    # (4) cached rows are genuine distance rows (source at distance 0),
+    #     in G_t1's node order.
+    index = {u: i for i, u in enumerate(g1.nodes())}
     for source, row in list(result.d1_rows.items()):
-        assert row[source] == 0
+        assert row[index[source]] == 0
     for source, row in list(result.d2_rows.items()):
-        assert row[source] == 0
+        assert row[index[source]] == 0
 
 
 @pytest.mark.parametrize("name", PLAIN_SELECTORS)
