@@ -164,7 +164,11 @@ def cmd_characteristics(args) -> int:
 def cmd_truth(args) -> int:
     temporal = _load_input(args.input, args.scale, args.seed)
     g1, g2 = _snapshots(temporal, args.split)
-    if args.prune and _resolve_engine(g1, g2, args.engine) == "dict":
+    try:
+        engine = _resolve_engine(g1, g2, args.engine)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
+    if args.prune and engine == "dict":
         raise CLIError(
             "--prune requires an unweighted engine (csr/incremental); "
             "this input resolves to the dict engine"
@@ -239,7 +243,6 @@ def cmd_topk(args) -> int:
     selector = _build_cli_selector(args)
     result = find_top_k_converging_pairs(
         g1, g2, k=args.k, m=args.m, selector=selector, seed=args.seed or 0,
-        workers=_check_workers(args.workers),
     )
     print(
         f"budget: {result.budget.spent}/{result.budget.limit} SSSPs "
@@ -437,7 +440,6 @@ def _runtime_from_args(args, *, guard=None, chaos=None):
             args.wal_dir,
             config,
             max_restarts=args.max_restarts,
-            workers=_check_workers(args.workers),
             guard=guard,
             chaos=chaos,
         )
@@ -746,8 +748,6 @@ def _add_runtime_options(sub, wal_required: bool = True) -> None:
                           "using this selector (default: exact top-k)")
     sub.add_argument("--m", type=int, default=0,
                      help="candidate budget for --selector windows")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="process-pool workers for budgeted windows")
     sub.add_argument("--max-restarts", type=int, default=3,
                      help="lifetime window-computation restarts before "
                           "the supervisor gives up")
@@ -831,9 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--model", type=Path, default=None,
                       help="saved classifier model (.npz) — overrides "
                            "--selector with the matching classifier")
-    topk.add_argument("--workers", type=int, default=1,
-                      help="process-pool workers for the candidate SSSP "
-                           "batch (1 = serial; results are identical)")
     topk.set_defaults(func=cmd_topk)
 
     train = subs.add_parser(

@@ -28,11 +28,9 @@ from repro.core.budget import SPBudget
 from repro.core.pairs import ConvergingPair, canonical_pair
 from repro.graph.csr import UNREACHED
 from repro.graph.graph import Graph
-from repro.graph.msbfs import msbfs_levels
 from repro.graph.pair import SnapshotPair, pair_rows
 from repro.graph.traversal import single_source_distances
 from repro.graph.validation import check_snapshot_pair
-from repro.parallel import ParallelExecutor, worker_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.selection.base import CandidateSelector, SelectionResult
@@ -74,7 +72,6 @@ def find_top_k_converging_pairs(
     seed: Optional[int] = None,
     validate: bool = True,
     budget_limit: Optional[int] = -1,
-    workers: int = 1,
 ) -> TopKResult:
     """Algorithm 1: budgeted top-k converging pairs.
 
@@ -96,10 +93,6 @@ def find_top_k_converging_pairs(
     budget_limit:
         ``-1`` (default) enforces the paper's ``2m``; ``None`` disables
         enforcement; any other value is a custom limit.
-    workers:
-        Process-pool size for the phase-2 per-candidate SSSP batch
-        (1 = serial).  Results and budget accounting are bit-identical
-        at any worker count; candidate selection (phase 1) is untouched.
 
     Returns
     -------
@@ -141,63 +134,24 @@ def find_top_k_converging_pairs(
     # snapshots run through the vectorised CSR engine; weighted ones
     # stream Dijkstra rows.  Results are identical either way.
     if pair.weighted:
-        scored = _score_candidates_dict(
-            pair, candidates, result, budget, workers
-        )
+        scored = _score_candidates_dict(pair, candidates, result, budget)
     else:
-        from repro.parallel import derive_run_id
-
-        scored = _score_candidates_csr(
-            pair, candidates, result, budget, workers, k=k,
-            # Seeded, collision-safe shm segment identity — everything
-            # that shapes the run, nothing from the clock or the pid.
-            shm_run_id=derive_run_id(
-                "topk.sssp", selector.name, seed, k, m, len(candidates)
-            ),
-        )
+        scored = _score_candidates_csr(pair, candidates, result, budget, k)
 
     ranked = sorted(scored.values(), key=ConvergingPair.sort_key)
     return TopKResult(pairs=ranked[:k], candidates=candidates, budget=budget)
 
 
-def _dict_rows_task(
-    spec: "Tuple[Node, bool, bool]",
-) -> "Tuple[Optional[Dict[Node, float]], Optional[Dict[Node, float]]]":
-    """Worker task: fresh distance maps for one candidate (weighted path)."""
-    c, need1, need2 = spec
-    state = worker_state()
-    # reprolint: disable=R004 -- charged in the parent's scoring loop before dispatch (ledger stays in-parent)
-    d1 = single_source_distances(state["g1"], c) if need1 else None
-    # reprolint: disable=R004 -- charged in the parent's scoring loop before dispatch (ledger stays in-parent)
-    d2 = single_source_distances(state["g2"], c) if need2 else None
-    return d1, d2
-
-
 def _score_candidates_dict(
     pair: SnapshotPair, candidates: Sequence[Node],
     result: "SelectionResult", budget: SPBudget,
-    workers: int = 1, k: int = 0, shm_run_id: Optional[str] = None,
 ) -> Dict[tuple, ConvergingPair]:
     """Reference scoring path: one distance map pair per candidate.
 
-    ``k``/``shm_run_id`` keep the signature interchangeable with
-    ``_score_candidates_csr``; dict graphs hold no shareable arrays, so
-    the arena never publishes on this path.  Cached selector rows are
-    read back into maps through the pair's node order.
+    Cached selector rows are read back into maps through the pair's
+    node order.
     """
     g1, g2, nodes = pair.g1, pair.g2, pair.nodes
-    fresh: Dict[Node, tuple] = {}
-    if workers > 1:
-        specs = [
-            (c, c not in result.d1_rows, c not in result.d2_rows)
-            for c in candidates
-        ]
-        if any(n1 or n2 for _, n1, n2 in specs):
-            executor = ParallelExecutor(
-                workers, state={"g1": g1, "g2": g2}, shm_run_id=shm_run_id
-            )
-            rows = executor.map(_dict_rows_task, specs, unit="topk.sssp")
-            fresh = dict(zip(candidates, rows))
 
     def as_map(row: np.ndarray) -> Dict[Node, float]:
         at = np.flatnonzero(row != UNREACHED)
@@ -205,17 +159,16 @@ def _score_candidates_dict(
 
     scored: Dict[tuple, ConvergingPair] = {}
     for c in candidates:
-        pre1, pre2 = fresh.get(c, (None, None))
         if c in result.d1_rows:
             d1 = as_map(result.d1_rows[c])
         else:
             budget.charge("topk", "g1", 1)
-            d1 = pre1 if pre1 is not None else single_source_distances(g1, c)
+            d1 = single_source_distances(g1, c)
         if c in result.d2_rows:
             d2 = as_map(result.d2_rows[c])
         else:
             budget.charge("topk", "g2", 1)
-            d2 = pre2 if pre2 is not None else single_source_distances(g2, c)
+            d2 = single_source_distances(g2, c)
         for v, dv1 in d1.items():
             if v == c:
                 continue
@@ -228,25 +181,9 @@ def _score_candidates_dict(
     return scored
 
 
-def _csr_rows_task(spec: "Tuple[str, List[int]]") -> np.ndarray:
-    """Worker task: one msbfs block of fresh rows in ``G_t1``'s order.
-
-    ``spec`` is a snapshot label and csr indices on that snapshot; the
-    worker state holds both CSR views and the t1 → t2 map, shipped once
-    per pool.  Batching never changes what is charged: every row is
-    still one SSSP result, charged in the parent before dispatch.
-    """
-    snapshot, sources = spec
-    state = worker_state()
-    # reprolint: disable=R004 -- charged in the parent before dispatch (ledger stays in-parent)
-    block = msbfs_levels(state["csr1" if snapshot == "g1" else "csr2"], sources)
-    return block if snapshot == "g1" else block[:, state["mapping"]]
-
-
 def _score_candidates_csr(
     pair: SnapshotPair, candidates: Sequence[Node],
-    result: "SelectionResult", budget: SPBudget,
-    workers: int = 1, k: int = 0, shm_run_id: Optional[str] = None,
+    result: "SelectionResult", budget: SPBudget, k: int = 0,
 ) -> Dict[tuple, ConvergingPair]:
     """Vectorised scoring path for unweighted snapshots.
 
@@ -256,9 +193,7 @@ def _score_candidates_csr(
     charged to ``topk`` on its snapshot, one record per row in candidate
     order (g1 before g2), exactly as the dict path charges; a cached row
     is free.  Then one :func:`~repro.graph.pair.pair_rows` block computes
-    every fresh t1 row and one every fresh t2 row.  With ``workers > 1``
-    a process pool computes those blocks from the pair's CSR views and
-    map (shipped once per pool); scoring stays in the parent.
+    every fresh t1 row and one every fresh t2 row.
 
     Each candidate's positive-Δ hits stay numpy arrays; a pair of two
     candidates keeps the sighting of whichever comes first, exactly as
@@ -277,31 +212,8 @@ def _score_candidates_csr(
             budget.charge("topk", "g1", 1)
         if c not in result.d2_rows:
             budget.charge("topk", "g2", 1)
-    if workers > 1 and (fresh1 or fresh2):
-        assert pair.csr1 is not None and pair.csr2 is not None
-        specs = [("g1", [pair.csr1.index[c] for c in fresh1]),
-                 ("g2", [pair.csr2.index[c] for c in fresh2])]
-        # Batch width balances the bit-parallel sweep (wider = fewer
-        # frontier loops) against pool utilisation (small candidate
-        # sets must still spread across the workers).
-        width = max(1, min(64, -(-(len(fresh1) + len(fresh2))
-                                // (workers * 4))))
-        batches = [(snap, idx[i : i + width]) for snap, idx in specs
-                   for i in range(0, len(idx), width)]
-        executor = ParallelExecutor(
-            workers,
-            state={"csr1": pair.csr1, "csr2": pair.csr2,
-                   "mapping": pair.mapping},
-            shm_run_id=shm_run_id,
-        )
-        blocks = executor.map(_csr_rows_task, batches, unit="topk.sssp")
-        rows1 = [row for (snap, _), b in zip(batches, blocks)
-                 if snap == "g1" for row in b]
-        rows2 = [row for (snap, _), b in zip(batches, blocks)
-                 if snap == "g2" for row in b]
-    else:
-        rows1 = list(pair_rows(pair, fresh1, "g1")) if fresh1 else []
-        rows2 = list(pair_rows(pair, fresh2, "g2")) if fresh2 else []
+    rows1 = list(pair_rows(pair, fresh1, "g1")) if fresh1 else []
+    rows2 = list(pair_rows(pair, fresh2, "g2")) if fresh2 else []
     levels1 = {**dict(zip(fresh1, rows1)), **result.d1_rows}
     levels2 = {**dict(zip(fresh2, rows2)), **result.d2_rows}
 

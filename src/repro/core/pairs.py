@@ -120,17 +120,23 @@ def _resolve_engine(g1: Graph, g2: Graph, engine: str) -> str:
     snapshots are unweighted (it subsumes the plain CSR engine: same
     vectorised scoring, but the t2 traversal is a repair of the t1 one —
     see :mod:`repro.graph.incremental`), and the dict engine otherwise.
-    Explicit names are honoured as given.
+    Explicit names are honoured as given, except that ``csr`` and
+    ``incremental`` count hops and so raise ``ValueError`` on a weighted
+    pair.
     """
     if engine not in ENGINES:
         raise ValueError(
             f"engine must be one of {'/'.join(ENGINES)}, got {engine!r}"
         )
-    if engine != "auto":
-        return engine
-    if g1.is_weighted() or g2.is_weighted():
-        return "dict"
-    return "incremental"
+    weighted = g1.is_weighted() or g2.is_weighted()
+    if engine == "auto":
+        return "dict" if weighted else "incremental"
+    if weighted and engine != "dict":
+        raise ValueError(
+            f"engine {engine!r} counts hops and ignores edge weights; "
+            "weighted snapshots need the dict (or auto) engine"
+        )
+    return engine
 
 
 def delta_histogram(

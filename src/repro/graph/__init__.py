@@ -48,12 +48,7 @@ from repro.graph.csr import (
 )
 from repro.graph.msbfs import iter_msbfs_rows, msbfs_levels
 from repro.graph.pair import SnapshotPair, pair_rows
-from repro.graph.incremental import (
-    SnapshotDelta,
-    levels_pair,
-    levels_pair_indexed,
-    repair_levels,
-)
+from repro.graph.incremental import SnapshotDelta, repair_levels
 from repro.graph.prune import (
     KthTracker,
     PrunePlan,
@@ -117,8 +112,6 @@ __all__ = [
     "SnapshotPair",
     "pair_rows",
     "SnapshotDelta",
-    "levels_pair",
-    "levels_pair_indexed",
     "repair_levels",
     "KthTracker",
     "PrunePlan",

@@ -157,13 +157,6 @@ def bfs_distances_fast(graph: Graph, source: Node) -> Dict[Node, int]:
     return {csr.nodes[i]: int(levels[i]) for i in reached}
 
 
-def _levels_row_task(i: int) -> np.ndarray:
-    """Worker task: one BFS level row against the installed CSR view."""
-    from repro.parallel import worker_state
-
-    return bfs_levels(worker_state()["csr"], i)
-
-
 def _levels_block_task(span: "tuple[int, int]") -> np.ndarray:
     """Worker task: a contiguous block of level rows via multi-source BFS.
 

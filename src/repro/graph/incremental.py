@@ -10,20 +10,17 @@ source, it *repairs* it into the exact t2 level array by seeding a
 frontier from the endpoints of the inserted edges (plus the new nodes
 reachable only through them) and relaxing just the affected region.
 
-The machinery is three pieces:
+The machinery is two pieces:
 
 * :class:`SnapshotDelta` — the precomputed difference between two
   snapshots: both CSR views, the t1 → t2 index alignment, and the
   inserted-edge endpoint arrays.  Built once per snapshot pair and
-  reused for every source (and shipped to parallel workers once per
-  pool, not per source).
+  reused for every source.
 * :func:`repair_levels` — the repair kernel: monotone bucketed
   relaxation over the t2 adjacency, vectorised one frontier level at a
   time like :func:`repro.graph.csr.bfs_levels`, with early termination
-  as soon as no remaining node can still improve.
-* :func:`levels_pair` / :func:`levels_pair_indexed` — the public entry
-  points: both level arrays of one source from a single traversal plus
-  a repair.
+  as soon as no remaining node can still improve.  A source's two level
+  arrays are ``bfs_levels(delta.csr1, i)`` and its repair.
 
 Exactness is the contract: the repaired array is **bit-identical** to an
 independent full BFS on ``G_t2`` (the differential tests pin this
@@ -37,11 +34,11 @@ docs/static-analysis.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, UNREACHED, _multi_arange, bfs_levels
+from repro.graph.csr import CSRGraph, UNREACHED, _multi_arange
 from repro.graph.graph import Graph
 
 Node = Hashable
@@ -255,42 +252,3 @@ def repair_levels(
 
     dist[dist == inf] = UNREACHED
     return dist
-
-
-def levels_pair_indexed(
-    delta: SnapshotDelta, source_idx1: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Both snapshots' level arrays of csr1-source ``source_idx1``.
-
-    Returns ``(levels1, levels2)`` — ``levels1`` over ``csr1``'s
-    universe from one full traversal, ``levels2`` over ``csr2``'s
-    universe from the repair.  Align the latter onto t1's node order
-    with ``levels2[delta.mapping]`` when comparing rows.
-    """
-    levels1 = bfs_levels(delta.csr1, source_idx1)
-    return levels1, repair_levels(delta, levels1)
-
-
-def levels_pair(
-    g1: Graph,
-    g2: Graph,
-    source: Node,
-    delta: Optional[SnapshotDelta] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Both snapshots' level arrays of ``source`` from one traversal + repair.
-
-    ``delta`` amortises the snapshot-difference precomputation across
-    sources; omit it for one-off queries.  A source that only exists in
-    ``G_t2`` has no t1 row to repair, so it returns an all-``UNREACHED``
-    t1 array and pays a full t2 traversal — the worst-case fallback.
-    """
-    if delta is None:
-        delta = SnapshotDelta.from_graphs(g1, g2)
-    idx1 = delta.source_index(source)
-    if idx1 is not None:
-        return levels_pair_indexed(delta, idx1)
-    idx2 = delta.csr2.index.get(source)
-    if idx2 is None:
-        raise KeyError(f"source {source!r} not in either snapshot")
-    levels1 = np.full(delta.csr1.num_nodes, UNREACHED, dtype=np.int32)
-    return levels1, bfs_levels(delta.csr2, idx2)

@@ -33,8 +33,6 @@ SSSP_ENTRY_POINTS = frozenset({
     # it *is* the second SSSP of a snapshot pair and charges like one
     # (the ledger counts SSSP results obtained, not edges scanned).
     "repair_levels",
-    "levels_pair",
-    "levels_pair_indexed",
     # Δ-aware pruned traversals: a level-cut BFS still obtains the
     # traversal's budgeted result (every level the output can depend on),
     # so it charges exactly like the full traversal it replaces — the

@@ -12,7 +12,8 @@ always-on service loop over a sanitized edge stream:
    converging pairs between the snapshot at the window's start and its
    end are computed — through the incremental delta-BFS engine while
    the :class:`~repro.runtime.breaker.CircuitBreaker` is closed, through
-   the full-BFS fallback while it is open;
+   the full-BFS fallback while it is open (weighted streams take
+   Dijkstra rows from the dict engine on both paths);
 3. each closed window is followed by a checkpoint
    (:class:`~repro.resilience.checkpoint.CheckpointStore`) and WAL
    compaction, so recovery cost stays bounded.
@@ -211,9 +212,8 @@ class StreamRuntime:
         recovery.
     config:
         The result-defining knobs (see :class:`RuntimeConfig`).
-    max_restarts / workers / fsync:
-        Execution-only knobs: supervisor budget, parallel workers for
-        budgeted windows, WAL durability.
+    max_restarts / fsync:
+        Execution-only knobs: supervisor budget, WAL durability.
     guard:
         Optional :class:`~repro.runtime.guards.ResourceGuard`; a breach
         checkpoints and sheds (``status="shed:<kind>"``).
@@ -249,7 +249,6 @@ class StreamRuntime:
         config: RuntimeConfig,
         *,
         max_restarts: int = 3,
-        workers: int = 1,
         fsync: bool = True,
         guard: Optional[ResourceGuard] = None,
         breaker: Optional[CircuitBreaker] = None,
@@ -261,7 +260,6 @@ class StreamRuntime:
     ) -> None:
         self.directory = Path(directory)
         self.config = config
-        self.workers = workers
         self._chaos = chaos if chaos is not None else _no_chaos
         self._repair_injector = repair_injector
         self._window_injector = window_injector
@@ -530,10 +528,12 @@ class StreamRuntime:
         self, index: int, g1: Graph, g2: Graph
     ) -> Tuple[List[ConvergingPair], str, bool]:
         if self.config.selector is None:
+            weighted = g1.is_weighted() or g2.is_weighted()
+            engine = "dict" if weighted else "incremental"
             pairs = top_k_converging_pairs(
-                g1, g2, self.config.k, validate=True, engine="incremental"
+                g1, g2, self.config.k, validate=True, engine=engine
             )
-            return pairs, "incremental", True
+            return pairs, engine, True
         if g1.num_nodes < 2:
             # No pair can have a finite G_t1 distance, and selectors
             # cannot nominate candidates from an (almost) empty graph —
@@ -543,7 +543,6 @@ class StreamRuntime:
             g1, g2, k=self.config.k, m=self.config.m,
             selector=get_selector(self.config.selector),
             seed=self.config.seed + index, validate=True,
-            workers=self.workers,
         )
         return result.pairs, "budgeted", True
 
@@ -556,7 +555,8 @@ class StreamRuntime:
         ``repair_snapshot_pair`` projects ``g2`` onto the nearest valid
         superset of ``g1`` (a no-op copy when the pair is already
         valid), so the fallback always computes on a well-formed pair —
-        deterministically, whatever the stream did.
+        deterministically, whatever the stream did.  Weighted pairs run
+        the dict engine here too.
         """
         g2_safe, repair = repair_snapshot_pair(g1, g2)
         if not repair.clean:
@@ -565,15 +565,16 @@ class StreamRuntime:
                 detail=repair.summary(),
             )
         if self.config.selector is None:
+            weighted = g1.is_weighted() or g2_safe.is_weighted()
+            engine = "dict" if weighted else "csr"
             pairs = top_k_converging_pairs(
-                g1, g2_safe, self.config.k, validate=False, engine="csr"
+                g1, g2_safe, self.config.k, validate=False, engine=engine
             )
-            return pairs, "csr-fallback", False
+            return pairs, f"{engine}-fallback", False
         result = find_top_k_converging_pairs(
             g1, g2_safe, k=self.config.k, m=self.config.m,
             selector=get_selector(self.config.selector),
             seed=self.config.seed + index, validate=False,
-            workers=self.workers,
         )
         return result.pairs, "budgeted-fallback", False
 

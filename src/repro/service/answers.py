@@ -17,10 +17,11 @@ Two data verbs:
 
 ``node``
     "Who is converging toward ``u``?" on the latest closed window's
-    snapshot pair, computed fresh through the incremental delta-BFS
-    substrate (one t1 traversal + one repair — 2 SSSPs, charged to an
+    snapshot pair, computed fresh from the same
+    :class:`~repro.graph.pair.SnapshotPair` rows Algorithm 1 uses (one
+    row per snapshot — 2 SSSPs, charged to an
     :class:`~repro.core.budget.SPBudget` like every other traversal in
-    the system).
+    the system; Dijkstra distances on weighted windows).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.core.budget import SPBudget
 from repro.core.pairs import ConvergingPair, Node, Pair
 from repro.graph.csr import UNREACHED
-from repro.graph.incremental import SnapshotDelta, levels_pair_indexed
+from repro.graph.pair import SnapshotPair, pair_rows
 from repro.graph.validation import repair_snapshot_pair
 from repro.runtime.engine import StreamRuntime
 from repro.service.protocol import (
@@ -126,10 +127,10 @@ def node_answer(
     """Top-k partners converging toward ``u`` on the latest window.
 
     Computes Δ(u, ·) fresh from the latest closed window's snapshot
-    pair through one t1 traversal plus one delta-BFS repair.  The later
-    snapshot is first projected onto the nearest valid superset of the
-    earlier one (a no-op copy for well-formed windows), so the answer
-    stays deterministic whatever the stream did.
+    pair: one distance row per snapshot.  The later snapshot is first
+    projected onto the nearest valid superset of the earlier one (a
+    no-op copy for well-formed windows), so the answer stays
+    deterministic whatever the stream did.
     """
     if k is None:
         k = runtime.config.k
@@ -148,25 +149,22 @@ def node_answer(
     }
     g1, g2 = runtime.window_snapshots(window.index)
     g2_safe, _repair = repair_snapshot_pair(g1, g2)
-    delta = SnapshotDelta.from_graphs(g1, g2_safe)
-    source_idx = delta.source_index(u)
+    pair = SnapshotPair.from_graphs(g1, g2_safe)
+    source_idx = pair.index.get(u)
     if source_idx is None:
         return empty
-    # One full t1 BFS plus one repair = the pair's two SSSPs; charged
-    # like every traversal outside the engine (docs/budget-model.md).
+    # One row per snapshot = the pair's two SSSPs; charged like every
+    # traversal outside the engine (docs/budget-model.md).
     budget = SPBudget(limit=2)
     budget.charge("service", "g1", 1)
     budget.charge("service", "g2", 1)
-    levels1, levels2 = levels_pair_indexed(delta, source_idx)
-    aligned2 = levels2[delta.mapping]
+    row1 = pair_rows(pair, [u], "g1")[0].tolist()
+    row2 = pair_rows(pair, [u], "g2")[0].tolist()
     partners: List[ConvergingPair] = []
-    for idx, node in enumerate(delta.csr1.nodes):
-        if idx == source_idx:
+    for idx, node in enumerate(pair.nodes):
+        d1, d2 = row1[idx], row2[idx]
+        if idx == source_idx or d1 == UNREACHED:
             continue
-        d1 = int(levels1[idx])
-        if d1 == UNREACHED:
-            continue
-        d2 = int(aligned2[idx])
         if d2 == UNREACHED or d1 - d2 <= 0:
             continue
         partners.append(ConvergingPair(u, node, float(d1), float(d2)))

@@ -12,8 +12,9 @@ code under test: a pin recorded from the change it checks pins nothing.
 Cases: every model-free selector except IncBet (exact betweenness is
 too slow here), on two small catalog regimes, a graph mixing ``int`` and
 ``str`` ids, a weighted regime and a pair weighted only at t2 (whose t1
-distances stay ``int``), × m ∈ {5, 20} × k ∈ {1, 20} at one worker, and
-m = k = 20 at ``REPRO_TEST_WORKERS`` (2 when unset).
+distances stay ``int``), × m ∈ {5, 20} × k ∈ {1, 20}.  Call 2 runs
+every cell twice on the same graph objects, so a query that left state
+behind for the next one would fail the pin.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -42,11 +42,8 @@ SELECTORS = (
 )
 GRAPHS = ("actors", "dblp", "mixed-ids", "weighted", "t2-weighted")
 GRID = tuple((m, k) for m in (5, 20) for k in (1, 20))
-#: Every pooled call starts its own pool (seconds each under spawn), so
-#: the pooled run keeps the cell with the most fresh rows.
-POOLED_GRID = ((20, 20),)
-_ENV_WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "0"))
-WORKERS = (1, _ENV_WORKERS if _ENV_WORKERS > 1 else 2)
+#: How many times each cell runs, back to back on the same graphs.
+CALLS = (1, 2)
 
 
 def _mixed_ids(g: Graph) -> Graph:
@@ -81,11 +78,10 @@ def _typed(x) -> list:
     return [type(x).__name__, repr(x)]
 
 
-def _outcome(graph: str, selector: str, m: int, k: int, workers: int) -> str:
+def _outcome(graph: str, selector: str, m: int, k: int) -> str:
     g1, g2 = snapshots(graph)
     result = find_top_k_converging_pairs(
         g1, g2, k=k, m=m, selector=get_selector(selector), seed=3,
-        workers=workers,
     )
     record = {
         "pairs": [[_typed(p.u), _typed(p.v), _typed(p.d1), _typed(p.d2)]
@@ -107,14 +103,14 @@ def pinned():
     return json.loads(FIXTURE.read_text(encoding="utf-8"))["digests"]
 
 
-@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("calls", CALLS)
 @pytest.mark.parametrize("selector", SELECTORS)
 @pytest.mark.parametrize("graph", GRAPHS)
-def test_outcome_matches_recorded_digest(pinned, graph, selector, workers):
+def test_outcome_matches_recorded_digest(pinned, graph, selector, calls):
     changed = [
-        _key(graph, selector, m, k)
-        for m, k in (GRID if workers == 1 else POOLED_GRID)
-        if _outcome(graph, selector, m, k, workers)
+        f"{_key(graph, selector, m, k)}#{call}"
+        for m, k in GRID for call in range(1, calls + 1)
+        if _outcome(graph, selector, m, k)
         != pinned[_key(graph, selector, m, k)]
     ]
     assert changed == []
@@ -122,7 +118,7 @@ def test_outcome_matches_recorded_digest(pinned, graph, selector, workers):
 
 if __name__ == "__main__":
     digests = {
-        _key(graph, selector, m, k): _outcome(graph, selector, m, k, 1)
+        _key(graph, selector, m, k): _outcome(graph, selector, m, k)
         for graph in GRAPHS for selector in SELECTORS for m, k in GRID
     }
     commit = sys.argv[1] if len(sys.argv) > 1 else "unknown"

@@ -78,6 +78,16 @@ class TestTruth:
         assert outputs[0] == outputs[1] == outputs[2]
         assert "δ =" in outputs[0]
 
+    @pytest.mark.parametrize("engine", ["csr", "incremental"])
+    def test_hop_engine_on_weighted_input_is_a_usage_error(
+        self, engine, capsys
+    ):
+        rc = main(["truth", "internet-weighted", "--scale", "0.1",
+                   "--k", "5", "--engine", engine])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "weight" in err
+
 
 class TestTopk:
     def test_budgeted_run(self, capsys):

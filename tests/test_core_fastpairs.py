@@ -35,6 +35,19 @@ class TestEngineDispatch:
         hist = delta_histogram(g1, g2, engine="auto")
         assert any(d == pytest.approx(3.5) for d in hist)
 
+    def test_hop_engines_reject_weighted(self):
+        # Weighted only at t2: hop counts would still misreport d_t2.
+        g1 = Graph([(0, 1), (1, 2)])
+        g2 = g1.copy()
+        g2.add_edge(0, 2, 0.5)
+        for engine in ("csr", "incremental"):
+            with pytest.raises(ValueError, match="weight"):
+                delta_histogram(g1, g2, engine=engine)
+            with pytest.raises(ValueError, match="weight"):
+                converging_pairs_at_threshold(g1, g2, 1, engine=engine)
+            with pytest.raises(ValueError, match="weight"):
+                top_k_converging_pairs(g1, g2, 1, engine=engine)
+
     def test_unknown_engine_rejected(self, shortcut_pair):
         with pytest.raises(ValueError, match="engine"):
             delta_histogram(*shortcut_pair, engine="gpu")

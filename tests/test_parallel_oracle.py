@@ -142,32 +142,13 @@ class TestAPSPOracle:
 
 
 # ----------------------------------------------------------------------
-# Top-k recovery: parallel == serial, distances match the oracle
+# Top-k recovery: distances match the oracle
 # ----------------------------------------------------------------------
 class TestTopKOracle:
-    @pytest.mark.parametrize("selector_name", ["Degree", "MMSD", "SumDiff"])
-    def test_identical_across_worker_counts(self, selector_name):
-        g1, g2 = random_snapshot_pair(num_nodes=60, num_edges=140, seed=6)
-        outcomes = {}
-        for workers in WORKER_COUNTS:
-            result = find_top_k_converging_pairs(
-                g1, g2, k=12, m=10,
-                selector=get_selector(selector_name),
-                seed=11, workers=workers,
-            )
-            outcomes[workers] = (
-                result.pairs,
-                result.candidates,
-                result.budget.spent,
-                result.budget.by_phase(),
-            )
-        assert outcomes[1] == outcomes[2] == outcomes[4]
-
     def test_pair_distances_match_networkx(self):
         g1, g2 = random_snapshot_pair(num_nodes=60, num_edges=140, seed=7)
         result = find_top_k_converging_pairs(
-            g1, g2, k=15, m=12, selector=get_selector("MMSD"),
-            seed=13, workers=2,
+            g1, g2, k=15, m=12, selector=get_selector("MMSD"), seed=13,
         )
         d1 = dict(nx.all_pairs_shortest_path_length(to_networkx(g1)))
         d2 = dict(nx.all_pairs_shortest_path_length(to_networkx(g2)))
@@ -233,7 +214,8 @@ class TestCoverageCellsOracle:
 
 
 class TestCLIByteIdentity:
-    """`repro experiment --workers N` output is byte-identical to serial."""
+    """`repro experiment --workers N` output is byte-identical to serial;
+    no other command takes `--workers`."""
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_experiment_report_and_json(self, workers, tmp_path, capsys):
@@ -259,19 +241,18 @@ class TestCLIByteIdentity:
         assert "--workers" in capsys.readouterr().err
 
     def test_topk_workers_flag(self, tmp_path, capsys):
-        stream = tmp_path / "stream.tsv"
-        rc = main(["generate", "facebook", "--scale", "0.2",
-                   "--out", str(stream)])
-        assert rc == 0
-        capsys.readouterr()
-        outputs = {}
-        for w in ("1", "2"):
-            rc = main(["topk", str(stream), "--selector", "MMSD",
-                       "--m", "10", "--k", "5", "--seed", "3",
-                       "--workers", w])
-            assert rc == 0
-            outputs[w] = capsys.readouterr().out
-        assert outputs["2"] == outputs["1"]
+        # Algorithm 1 and the stream runtime run in the calling process:
+        # `topk`, `advance`, `serve` and `query` reject the flag while
+        # parsing, before any input is read.
+        stream = str(tmp_path / "stream.tsv")
+        wal = ["--wal-dir", str(tmp_path / "wal")]
+        for argv in (["topk", stream], ["advance", stream, *wal],
+                     ["serve", stream, *wal],
+                     ["query", "topk", stream, *wal]):
+            with pytest.raises(SystemExit) as exit_:
+                main([*argv, "--workers", "2"])
+            assert exit_.value.code == 2
+            assert "--workers" in capsys.readouterr().err
 
 
 class TestCheckpointKeysWorkerIndependent:

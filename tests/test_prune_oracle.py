@@ -2,9 +2,7 @@
 
 The Δ-aware pruning layer of the ground-truth engines promises
 byte-identical output across the engine matrix (prune × incremental ×
-CLI); this suite pins it cell by cell.  Algorithm 1's budgeted path is
-pinned alongside: pairs, candidates and ledger identical at every
-worker count.
+CLI); this suite pins it cell by cell.
 """
 
 from __future__ import annotations
@@ -13,14 +11,10 @@ import pytest
 
 from conftest import path_graph, random_snapshot_pair
 from repro.cli import main
-from repro.core.algorithm import find_top_k_converging_pairs
 from repro.core.pairs import (
     converging_pairs_at_threshold,
     top_k_converging_pairs,
 )
-from repro.selection import get_selector
-
-WORKER_COUNTS = (1, 2, 4)
 
 
 # ----------------------------------------------------------------------
@@ -61,33 +55,6 @@ class TestGroundTruthMatrix:
         g = path_graph(30)
         assert top_k_converging_pairs(g, g.copy(), 5, prune=True) == []
         assert top_k_converging_pairs(g, g.copy(), 5) == []
-
-
-# ----------------------------------------------------------------------
-# Budgeted path: pairs and ledger identical at every worker count
-# ----------------------------------------------------------------------
-def _outcome(result):
-    return (
-        result.pairs,
-        result.candidates,
-        result.budget.spent,
-        result.budget.by_phase(),
-    )
-
-
-class TestBudgetedMatrix:
-    @pytest.mark.parametrize("selector_name", ["Degree", "MMSD", "SumDiff"])
-    def test_identical_across_prune_and_worker_counts(self, selector_name):
-        g1, g2 = random_snapshot_pair(num_nodes=60, num_edges=140, seed=6)
-        outcomes = set()
-        for workers in WORKER_COUNTS:
-            result = find_top_k_converging_pairs(
-                g1, g2, k=12, m=10,
-                selector=get_selector(selector_name),
-                seed=11, workers=workers,
-            )
-            outcomes.add(repr(_outcome(result)))
-        assert len(outcomes) == 1
 
 
 # ----------------------------------------------------------------------

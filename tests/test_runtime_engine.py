@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.pairs import top_k_converging_pairs
+from repro.datasets.catalog import internet_weighted
 from repro.graph.dynamic import TemporalGraph
 from repro.resilience import capture_events
 from repro.resilience.faults import FaultInjector, FaultPlan
@@ -220,6 +222,25 @@ class TestDegradation:
         report = runtime.run()
         assert report.render() == clean.render()
         assert runtime.supervisor.restarts_used == 2
+
+
+class TestWeightedStream:
+    def test_exact_windows_use_the_weights(self, tmp_path, config):
+        """Exact windows of a weighted stream equal the dict engine's
+        top-k on the window's snapshots, on the direct path and on the
+        fallback that two injected repair faults force."""
+        stream = internet_weighted(scale=0.05, seed=3)
+        injector = FaultInjector(FaultPlan(fail_nth=(2, 3)))
+        runtime = StreamRuntime(
+            stream, tmp_path / "wal", config, repair_injector=injector
+        )
+        report = runtime.run()
+        assert {w.engine for w in report.windows} == {"dict", "dict-fallback"}
+        for window in report.windows:
+            g1, g2 = runtime.window_snapshots(window.index)
+            assert list(window.pairs) == top_k_converging_pairs(
+                g1, g2, config.k, engine="dict"
+            )
 
 
 class TestGuards:

@@ -4,7 +4,9 @@ Property-based over random insertion-only snapshot pairs: for any graph
 and budget, a selector must (1) stay within the SSSP budget, (2) return
 at most m candidates, (3) return only ``G_t1`` nodes without duplicates,
 (4) only hand back cached rows for nodes it nominates or used as
-landmarks, and (5) be deterministic given the RNG seed.
+landmarks, and (5) be deterministic given the RNG seed.  On the same
+draws, Algorithm 1 must (6) spend exactly two SSSPs per candidate, at
+most ``2m``, with a ledger whose phases sum to the total.
 
 The classifier selectors need a trained model, so they are exercised
 with a model fitted once on a fixture stream; the oracle is exercised
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.algorithm import find_top_k_converging_pairs
 from repro.core.budget import SPBudget
 from repro.graph.graph import Graph
 from repro.selection import SINGLE_FEATURE_SELECTORS, get_selector
@@ -75,6 +78,15 @@ def test_selector_contract(name, pair, m):
         assert row[index[source]] == 0
     for source, row in list(result.d2_rows.items()):
         assert row[index[source]] == 0
+
+    # (6) Algorithm 1 pays 2 SSSPs per candidate (the paper's 2m when the
+    #     selector fills its budget) and the Table 1 split adds up.
+    run = find_top_k_converging_pairs(
+        g1, g2, k=m, m=m, selector=_build(name), seed=7
+    )
+    spent = run.budget.spent
+    assert spent == 2 * len(run.candidates) <= 2 * m
+    assert sum(run.budget.by_phase().values()) == spent
 
 
 @pytest.mark.parametrize("name", PLAIN_SELECTORS)

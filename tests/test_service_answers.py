@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.pairs import pair_delta
+from repro.datasets.catalog import internet_weighted
+from repro.graph.traversal import single_source_distances
 from repro.runtime import RuntimeConfig, StreamRuntime
 from repro.service.answers import (
     compute_answer,
@@ -105,6 +107,29 @@ class TestNode:
         for v, d1, d2, delta in answer["partners"]:
             assert delta == d1 - d2
             assert pair_delta(g1, g2, u, v) == delta
+
+    def test_weighted_partners_match_single_source_distances(
+        self, tmp_path
+    ):
+        runtime = StreamRuntime(
+            internet_weighted(scale=0.05, seed=3), tmp_path / "wal",
+            RuntimeConfig(k=5, batch_size=8, checkpoint_every=2),
+        )
+        runtime.run()
+        g1, g2 = runtime.window_snapshots(runtime.windows[-1].index)
+        assert g2.is_weighted()
+        for u in list(g1.nodes())[:12]:
+            dist1 = single_source_distances(g1, u)
+            dist2 = single_source_distances(g2, u)
+            expected = sorted(
+                ([v, d1, dist2[v], d1 - dist2[v]]
+                 for v, d1 in dist1.items()
+                 if v != u and d1 - dist2[v] > 0),
+                key=lambda row: (-row[3], repr(row[0])),
+            )
+            answer = node_answer(runtime, u, k=len(g1) + 1)
+            assert answer["sssp"] == 2
+            assert answer["partners"] == expected
 
     def test_absent_node(self, runtime):
         answer = node_answer(runtime, "no-such-node", k=3)
