@@ -809,14 +809,14 @@ def build_parser() -> argparse.ArgumentParser:
     truth.add_argument("--limit", type=int, default=20,
                        help="pairs to print")
     truth.add_argument("--prune", action="store_true",
-                       help="Δ-aware pruned traversals: skip or level-cut "
-                            "t2 work that provably cannot change the "
-                            "output (unweighted engines only; "
-                            "byte-identical results)")
+                       help="accepted for compatibility: selects no code "
+                            "path and changes no output (unweighted "
+                            "engines only)")
     truth.add_argument("--engine", default="auto",
                        choices=["auto", "incremental", "csr", "dict"],
-                       help="ground-truth engine (auto: incremental "
-                            "delta-BFS for unweighted snapshots)")
+                       help="ground-truth engine (auto: csr, msbfs rows "
+                            "on both snapshots, for unweighted snapshots; "
+                            "dict otherwise)")
     truth.set_defaults(func=cmd_truth)
 
     topk = subs.add_parser("topk", help="budgeted top-k (Algorithm 1)")

@@ -1,37 +1,35 @@
 """Vectorised (CSR) ground-truth engine for unweighted snapshot pairs.
 
-The streaming ground truth in :mod:`repro.core.pairs` spends most of its
-time in the per-pair Python loop comparing the two distance maps.  For
-unweighted graphs the whole comparison is three numpy operations per
-source: two level arrays, a subtraction, and a bincount — an order of
-magnitude faster at catalog scale.
+Level rows come in blocks of 64 sources from the multi-source BFS
+(:func:`~repro.graph.msbfs.msbfs_levels`) on both snapshots of one
+:class:`~repro.graph.pair.SnapshotPair`, the t2 block re-indexed onto
+t1's node order.  Row ``i`` owns the pair at column ``j`` when
+``j > i`` and ``j`` is reachable at t1, so every connected pair is seen
+once, in ``(i, j)`` order, and each collector — :func:`csr_delta_histogram`,
+:func:`csr_pairs_at_threshold`, :func:`csr_top_k_pairs` — takes a few
+numpy operations per block.  The explicit ``incremental`` engine feeds
+them an msbfs t1 block plus one
+:func:`~repro.graph.incremental.repair_levels` row per source.
 
-Both passes come in two flavours selected by the ``incremental`` flag:
-the plain CSR engine runs two independent BFS traversals per source,
-while the incremental engine precomputes one
-:class:`~repro.graph.incremental.SnapshotDelta` and *repairs* each t1
-level array into the t2 one (:mod:`repro.graph.incremental`), touching
-only the region the inserted edges affect.
-
-:func:`repro.core.pairs.delta_histogram` and
-:func:`repro.core.pairs.converging_pairs_at_threshold` dispatch here
-automatically (``engine="auto"`` resolves to the incremental engine for
-unweighted snapshots); the equivalence tests assert all engines agree
-exactly, pair for pair.
+:func:`csr_top_k_rows` is the older per-source single pass with Δ-aware
+pruning (:mod:`repro.graph.prune`); no query path calls it.
+:mod:`repro.core.pairs` dispatches here (``engine="auto"`` resolves to
+``csr`` on unweighted snapshots); the equivalence tests assert all
+engines agree exactly, pair for pair.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, UNREACHED, bfs_levels
+from repro.graph.csr import UNREACHED, bfs_levels
 from repro.graph.graph import Graph
 from repro.graph.incremental import SnapshotDelta, repair_levels
-from repro.graph.msbfs import DEFAULT_BATCH, iter_msbfs_rows, msbfs_levels
+from repro.graph.msbfs import DEFAULT_BATCH, msbfs_levels
+from repro.graph.pair import SnapshotPair
 from repro.graph.prune import (
     KthTracker,
     PrunePlan,
@@ -40,162 +38,145 @@ from repro.graph.prune import (
     source_bound,
 )
 
-
-def _csr_views(g1: Graph, g2: Graph) -> Tuple[CSRGraph, CSRGraph, np.ndarray]:
-    """CSR views of both snapshots plus the V1 -> csr2-index map.
-
-    ``csr2`` keeps the full ``G_t2`` (paths may route through new
-    nodes); the returned map aligns its level arrays with ``csr1``'s
-    node order.
-    """
-    csr1 = CSRGraph.from_graph(g1)
-    csr2 = CSRGraph.from_graph(g2)
-    mapping = np.array([csr2.index[u] for u in csr1.nodes], dtype=np.int64)
-    return csr1, csr2, mapping
+#: One collected pair: ``(u, v, d1, d2)`` with ``u``'s index below ``v``'s.
+Row = Tuple[object, object, int, int]
+#: One block of rows: first source index, t1 levels, aligned t2 levels.
+Block = Tuple[int, np.ndarray, np.ndarray]
 
 
-def _row_stream(
+def _blocks(
     g1: Graph, g2: Graph, incremental: bool
-) -> Tuple[Sequence[object], Iterator[Tuple[int, np.ndarray, np.ndarray]]]:
-    """t1 node order plus a ``(i, lv1, lv2)`` stream over every t1 source.
+) -> Tuple[Sequence[object], Iterator[Block]]:
+    """t1 node order plus the level blocks of every t1 source.
 
-    Both level arrays are aligned to ``csr1``'s node order and freshly
-    allocated (consumers may mutate them — :func:`iter_msbfs_rows` and
-    :func:`msbfs_levels` rows honour the same contract).  The t1 rows
-    advance through the bit-parallel multi-source kernel, 64 traversals
-    per frontier sweep.  ``incremental=True`` builds the snapshot delta
-    once and repairs each t1 row into its t2 row; ``incremental=False``
-    also batches the independent t2 traversals.
+    Block ``(s, lv1, lv2)`` holds the rows of sources ``s .. s + b − 1``
+    (``b <= 64``): ``lv1`` on ``G_t1`` and ``lv2`` on ``G_t2``, both
+    ``(b, n1)`` ``int32`` arrays in t1's node order.
     """
-    if incremental:
-        delta = SnapshotDelta.from_graphs(g1, g2)
-        mapping = delta.mapping
+    delta = SnapshotDelta.from_graphs(g1, g2) if incremental else None
+    views = delta if delta is not None else SnapshotPair.from_graphs(g1, g2)
+    csr1, csr2, mapping = views.csr1, views.csr2, views.mapping
+    if csr1 is None or csr2 is None or mapping is None:
+        raise ValueError(
+            "the CSR engines count hops; weighted snapshots need the dict "
+            "engine"
+        )
 
-        def repaired() -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-            for i, lv1 in iter_msbfs_rows(
-                delta.csr1, range(delta.csr1.num_nodes)
-            ):
-                yield i, lv1, repair_levels(delta, lv1)[mapping]
-
-        return delta.csr1.nodes, repaired()
-    csr1, csr2, mapping = _csr_views(g1, g2)
-
-    def recomputed() -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    def blocks() -> Iterator[Block]:
         n = csr1.num_nodes
         for start in range(0, n, DEFAULT_BATCH):
-            stop = min(start + DEFAULT_BATCH, n)
-            block1 = msbfs_levels(csr1, range(start, stop))
-            block2 = msbfs_levels(csr2, mapping[start:stop])
-            for j in range(stop - start):
-                yield start + j, block1[j], block2[j][mapping]
+            sources = np.arange(start, min(start + DEFAULT_BATCH, n))
+            lv1 = msbfs_levels(csr1, sources)
+            if delta is None:
+                lv2 = msbfs_levels(csr2, mapping[sources])
+            else:
+                lv2 = np.stack([repair_levels(delta, row) for row in lv1])
+            yield start, lv1, lv2[:, mapping]
 
-    return csr1.nodes, recomputed()
+    return csr1.nodes, blocks()
+
+
+def _owned(start: int, lv1: np.ndarray) -> np.ndarray:
+    """Cells of a block whose pair its row owns: ``j > i``, reached at t1."""
+    rows = np.arange(start, start + lv1.shape[0])[:, None]
+    return (np.arange(lv1.shape[1]) > rows) & (lv1 != UNREACHED)
+
+
+def _rows_at(
+    nodes: Sequence[object], block: Block, hit: np.ndarray
+) -> List[Row]:
+    """The ``hit`` cells of a block as rows, in ``(i, j)`` order."""
+    start, lv1, lv2 = block
+    r, j = np.nonzero(hit)
+    return [
+        (nodes[i], nodes[c], d1, d2)
+        for i, c, d1, d2 in zip(
+            (r + start).tolist(), j.tolist(),
+            lv1[r, j].tolist(), lv2[r, j].tolist(),
+        )
+    ]
 
 
 def csr_delta_histogram(
     g1: Graph, g2: Graph, incremental: bool = False
 ) -> Counter:
-    """Exact Δ histogram over connected t1 pairs (unweighted fast path)."""
-    _, rows = _row_stream(g1, g2, incremental)
+    """Exact Δ histogram over connected t1 pairs (unweighted fast path).
+
+    Keys and counts are Python ints.  Keys enter in the order a scan of
+    the rows in source order meets them (by first row, then by value),
+    so the ``Counter`` iterates as the per-row engine's did.
+    """
+    _, blocks = _blocks(g1, g2, incremental)
     hist: Counter = Counter()
-    for i, lv1, lv2 in rows:
-        # reprolint: disable=R011 -- _row_stream rows are freshly allocated per source (documented), so in-place masking saves an O(n) copy per row
-        lv1[: i + 1] = UNREACHED  # count each unordered pair once
-        reached = lv1 != UNREACHED
-        deltas = lv1[reached] - lv2[reached]
-        if deltas.size:
-            if deltas.min() < 0:
-                raise ValueError(
-                    "negative distance change: G_t1 is not a subgraph of "
-                    "G_t2 (run check_snapshot_pair for details)"
-                )
-            counts = np.bincount(deltas)
-            # flatnonzero covers the 0 bin too when Δ = 0 pairs exist.
-            for d in np.flatnonzero(counts):
-                hist[int(d)] += int(counts[d])
+    for start, lv1, lv2 in blocks:
+        own = _owned(start, lv1)
+        deltas = (lv1 - lv2)[own]
+        if not deltas.size:
+            continue
+        if deltas.min() < 0:
+            raise ValueError(
+                "negative distance change: G_t1 is not a subgraph of "
+                "G_t2 (run check_snapshot_pair for details)"
+            )
+        counts = np.bincount(deltas)
+        first = np.full(counts.size, lv1.shape[0])
+        np.minimum.at(first, deltas, np.nonzero(own)[0])
+        for d in np.lexsort((np.arange(counts.size), first)).tolist():
+            if counts[d]:
+                hist[d] += int(counts[d])
     return hist
 
 
 def csr_pairs_at_threshold(
-    g1: Graph,
-    g2: Graph,
-    delta_min: float,
-    incremental: bool = False,
-    prune: bool = False,
-    stats: Optional[PruneStats] = None,
-) -> List[Tuple[object, object, int, int]]:
+    g1: Graph, g2: Graph, delta_min: float, incremental: bool = False
+) -> List[Row]:
     """All ``(u, v, d1, d2)`` rows with ``Δ >= delta_min`` (u-index < v-index).
 
-    Returned as raw tuples; :mod:`repro.core.pairs` wraps them into
-    canonical :class:`~repro.core.pairs.ConvergingPair` objects so both
-    engines share one construction path.
-
-    ``prune=True`` applies the static Δ-bound from
-    :mod:`repro.graph.prune` at threshold ``θ = ⌈delta_min⌉``: sources
-    whose bound falls below ``θ`` skip their t2 traversal entirely, and
-    surviving traversals are cut at depth ``ecc1 − θ``.  The returned
-    rows are identical, in identical order; ``stats`` (when given)
-    receives the skip/cut counters.
+    Returned as raw tuples in ``(i, j)`` order;
+    :mod:`repro.core.pairs` wraps them into canonical
+    :class:`~repro.core.pairs.ConvergingPair` objects so every engine
+    shares one construction path.
     """
-    if prune:
-        return _pruned_pairs_at_threshold(
-            g1, g2, delta_min, incremental=incremental, stats=stats
-        )
-    nodes, stream = _row_stream(g1, g2, incremental)
-    rows: List[Tuple[object, object, int, int]] = []
-    for i, lv1, lv2 in stream:
-        # reprolint: disable=R011 -- _row_stream rows are freshly allocated per source (documented), so in-place masking saves an O(n) copy per row
-        lv1[: i + 1] = UNREACHED
-        reached = lv1 != UNREACHED
-        hits = np.flatnonzero(reached & (lv1 - lv2 >= delta_min))
-        u = nodes[i]
-        for j in hits:
-            rows.append((u, nodes[j], int(lv1[j]), int(lv2[j])))
+    nodes, blocks = _blocks(g1, g2, incremental)
+    rows: List[Row] = []
+    for block in blocks:
+        start, lv1, lv2 = block
+        hit = _owned(start, lv1) & (lv1 - lv2 >= delta_min)
+        rows.extend(_rows_at(nodes, block, hit))
     return rows
 
 
-def _pruned_pairs_at_threshold(
-    g1: Graph,
-    g2: Graph,
-    delta_min: float,
-    incremental: bool,
-    stats: Optional[PruneStats],
-) -> List[Tuple[object, object, int, int]]:
-    """Static-threshold pruned variant of :func:`csr_pairs_at_threshold`.
+def csr_top_k_pairs(
+    g1: Graph, g2: Graph, k: int, incremental: bool = False
+) -> List[Row]:
+    """Rows holding the exact top-k, from one pass at the running k-th Δ.
 
-    Same row order as the unpruned engines: sources are visited in index
-    order (the threshold is fixed, so there is no gain from reordering),
-    each either skipped outright or traversed level-limited.
+    Each block offers its Δs to a :class:`~repro.graph.prune.KthTracker`
+    once, then keeps its cells at or above the tracker's threshold —
+    the running k-th Δ, which never exceeds the final one.  The result
+    is a superset of the exact top-k, ties at the k-th Δ included, in
+    ``(i, j)`` order; the caller sorts by ``(−Δ, repr)`` and truncates,
+    which yields exactly the pairs of a histogram pass plus a threshold
+    pass.
     """
-    delta = SnapshotDelta.from_graphs(g1, g2)
-    plan = PrunePlan.from_delta(delta)
-    if stats is None:
-        stats = PruneStats()
-    # Δ values are integral on unweighted graphs, so a fractional
-    # threshold rounds up to the first achievable one.
-    theta = max(1, math.ceil(delta_min))
-    nodes = delta.csr1.nodes
-    rows: List[Tuple[object, object, int, int]] = []
-    n = delta.csr1.num_nodes
-    stats.sources += n
-    for i, lv1 in iter_msbfs_rows(delta.csr1, range(n)):
-        if source_bound(lv1, plan) < theta:
-            stats.skipped += 1
-            continue
-        stats.cut += 1
-        max_level = int(lv1.max()) - theta
-        if incremental:
-            lv2 = repair_levels(delta, lv1, max_level=max_level)[delta.mapping]
-        else:
-            lv2 = bounded_bfs_levels(
-                delta.csr2, int(delta.mapping[i]), max_level
-            )[delta.mapping]
-        reached = lv1 != UNREACHED
-        reached[: i + 1] = False
-        hits = np.flatnonzero(reached & (lv1 - lv2 >= delta_min))
-        u = nodes[i]
-        for j in hits:
-            rows.append((u, nodes[j], int(lv1[j]), int(lv2[j])))
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    nodes, blocks = _blocks(g1, g2, incremental)
+    tracker = KthTracker(k)
+    rows: List[Row] = []
+    compact_at = max(4 * k, 256)
+    for block in blocks:
+        start, lv1, lv2 = block
+        own = _owned(start, lv1)
+        deltas = lv1 - lv2
+        tracker.offer(deltas[own])
+        rows.extend(
+            _rows_at(nodes, block, own & (deltas >= tracker.threshold))
+        )
+        if len(rows) > compact_at:
+            floor = tracker.threshold
+            rows = [r for r in rows if r[2] - r[3] >= floor]
+            compact_at = max(compact_at, 4 * len(rows))
     return rows
 
 
@@ -209,7 +190,7 @@ def csr_top_k_rows(
     delta: Optional[SnapshotDelta] = None,
     rows1: Optional[Sequence[np.ndarray]] = None,
     stats: Optional[PruneStats] = None,
-) -> List[Tuple[object, object, int, int]]:
+) -> List[Row]:
     """Single-pass top-k candidate rows with dynamic Δ-aware pruning.
 
     Returns every ``(u, v, d1, d2)`` row whose Δ was at or above the
@@ -259,7 +240,7 @@ def csr_top_k_rows(
         order = np.arange(n)
 
     tracker = KthTracker(k)
-    rows: List[Tuple[object, object, int, int]] = []
+    rows: List[Row] = []
     compact_at = max(4 * k, 256)
     for pos in range(n):
         i = int(order[pos])

@@ -6,23 +6,27 @@ only shrink distances).  The *top-k converging pairs* are the k connected
 pairs with the largest Δ (Problem 1).
 
 Exact computation needs all-pairs shortest paths on both snapshots.  To
-keep memory linear we stream one BFS/Dijkstra row per source instead of
-materialising two n x n matrices, and make two passes:
+keep memory linear we stream distance rows instead of materialising two
+n x n matrices:
 
 1. :func:`delta_histogram` counts pairs per Δ value (one streaming pass);
 2. the caller picks a δ threshold (the paper sets k so the top-k set is
    *unique*: k = number of pairs with ``Δ >= δ``), and
    :func:`converging_pairs_at_threshold` collects exactly those pairs.
 
-:func:`top_k_converging_pairs` wraps both passes for arbitrary k, breaking
-residual ties deterministically.
+:func:`top_k_converging_pairs` serves arbitrary k, breaking residual
+ties deterministically: in one pass at the running k-th Δ on the
+unweighted engines (:mod:`repro.core.fastpairs`), in a histogram pass
+plus a threshold pass on the ``dict`` engine.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.graph.graph import Graph
 from repro.graph.traversal import single_source_distances
@@ -116,11 +120,10 @@ ENGINES = ("auto", "incremental", "csr", "dict")
 def _resolve_engine(g1: Graph, g2: Graph, engine: str) -> str:
     """Resolve the requested engine to ``incremental``/``csr``/``dict``.
 
-    ``auto`` picks the incremental delta-BFS engine whenever both
-    snapshots are unweighted (it subsumes the plain CSR engine: same
-    vectorised scoring, but the t2 traversal is a repair of the t1 one —
-    see :mod:`repro.graph.incremental`), and the dict engine otherwise.
-    Explicit names are honoured as given, except that ``csr`` and
+    ``auto`` picks the CSR engine — msbfs rows in blocks of 64 sources on
+    both snapshots (:mod:`repro.core.fastpairs`) — whenever both
+    snapshots are unweighted, and the dict engine otherwise.  Explicit
+    names are honoured as given, except that ``csr`` and
     ``incremental`` count hops and so raise ``ValueError`` on a weighted
     pair.
     """
@@ -130,13 +133,27 @@ def _resolve_engine(g1: Graph, g2: Graph, engine: str) -> str:
         )
     weighted = g1.is_weighted() or g2.is_weighted()
     if engine == "auto":
-        return "dict" if weighted else "incremental"
+        return "dict" if weighted else "csr"
     if weighted and engine != "dict":
         raise ValueError(
             f"engine {engine!r} counts hops and ignores edge weights; "
             "weighted snapshots need the dict (or auto) engine"
         )
     return engine
+
+
+def _ranked(
+    rows: Iterable[Tuple[Node, Node, float, float]]
+) -> List[ConvergingPair]:
+    """``(u, v, d1, d2)`` rows as canonical pairs, best Δ first.
+
+    The sort is stable, so pairs with equal sort keys keep row order.
+    """
+    out = [
+        ConvergingPair(*canonical_pair(u, v), d1, d2) for u, v, d1, d2 in rows
+    ]
+    out.sort(key=ConvergingPair.sort_key)
+    return out
 
 
 def delta_histogram(
@@ -149,13 +166,13 @@ def delta_histogram(
     ``O(n (n + m))`` time, ``O(n)`` memory beyond the histogram.
 
     ``engine`` selects the implementation: ``"dict"`` streams Python
-    distance maps (works for weighted graphs), ``"csr"`` runs the
-    vectorised unweighted fast path recomputing both traversals,
-    ``"incremental"`` repairs each t1 traversal into its t2 counterpart
-    through the precomputed snapshot delta, and ``"auto"`` (default)
-    picks ``incremental`` whenever both snapshots are unweighted.  All
-    engines return identical histograms — a property the test suite
-    pins down.
+    distance maps (works for weighted graphs), ``"csr"`` takes both
+    snapshots' level rows from the multi-source BFS in blocks of 64
+    sources, ``"incremental"`` takes the same t1 blocks and repairs each
+    t1 row into its t2 row through the precomputed snapshot delta
+    (:mod:`repro.graph.incremental`), and ``"auto"`` (default) picks
+    ``csr`` whenever both snapshots are unweighted.  All engines return
+    identical histograms — a property the test suite pins down.
     """
     if validate:
         check_snapshot_pair(g1, g2)
@@ -215,32 +232,26 @@ def converging_pairs_at_threshold(
     "converging", and collecting them would materialise nearly all pairs.
     ``engine`` follows :func:`delta_histogram`'s convention.
 
-    ``prune=True`` (unweighted engines only) skips or level-cuts t2
-    traversals whose Δ bound falls below ``delta_min`` — see
-    :mod:`repro.graph.prune`.  The result is identical, pair for pair.
+    ``prune`` selects no code path: both values run the same collection
+    and return the same list.  It is kept for callers that pass it, and
+    ``prune=True`` still raises ``ValueError`` where the engine resolves
+    to ``dict`` (an explicit ``dict``, or weighted snapshots).
     """
     if delta_min <= 0:
         raise ValueError(f"delta_min must be positive, got {delta_min}")
     if validate:
         check_snapshot_pair(g1, g2)
-    out: List[ConvergingPair] = []
     resolved = _resolve_engine(g1, g2, engine)
     if prune:
         _require_prunable(resolved, "against the threshold")
     if resolved != "dict":
         from repro.core.fastpairs import csr_pairs_at_threshold
 
-        rows = csr_pairs_at_threshold(
-            g1, g2, delta_min,
-            incremental=resolved == "incremental",
-            prune=prune,
-        )
-        for u, v, d1uv, d2uv in rows:
-            cu, cv = canonical_pair(u, v)
-            out.append(ConvergingPair(cu, cv, d1uv, d2uv))
-        out.sort(key=ConvergingPair.sort_key)
-        return out
+        return _ranked(csr_pairs_at_threshold(
+            g1, g2, delta_min, incremental=resolved == "incremental"
+        ))
     rank = {u: i for i, u in enumerate(g1.nodes())}
+    rows: List[Tuple[Node, Node, float, float]] = []
     for u, d1, d2 in _delta_rows(g1, g2, validate=False):
         ru = rank[u]
         for v, duv1 in d1.items():
@@ -248,10 +259,8 @@ def converging_pairs_at_threshold(
                 continue
             duv2 = d2[v]
             if duv1 - duv2 >= delta_min:
-                cu, cv = canonical_pair(u, v)
-                out.append(ConvergingPair(cu, cv, duv1, duv2))
-    out.sort(key=ConvergingPair.sort_key)
-    return out
+                rows.append((u, v, duv1, duv2))
+    return _ranked(rows)
 
 
 def top_k_converging_pairs(
@@ -260,41 +269,37 @@ def top_k_converging_pairs(
 ) -> List[ConvergingPair]:
     """The exact top-k converging pairs (Problem 1), ground-truth solution.
 
-    Two streaming passes: a Δ histogram to locate the k-th score, then a
-    collection pass at that threshold.  Residual ties at the boundary are
-    broken deterministically by :meth:`ConvergingPair.sort_key`, so equal
-    inputs always yield the same k pairs.  ``engine`` follows
-    :func:`delta_histogram`'s convention and applies to both passes.
+    The unweighted engines (``csr``, ``incremental``) collect in one
+    pass: each block of sources offers its Δs to the running k-th best
+    Δ and keeps the pairs at or above it
+    (:func:`~repro.core.fastpairs.csr_top_k_pairs`).  The ``dict`` engine
+    makes two streaming passes: a Δ histogram to locate the k-th score,
+    then a collection pass at that threshold.  Residual ties at the
+    boundary are broken deterministically by
+    :meth:`ConvergingPair.sort_key`, and the running threshold never
+    exceeds the final k-th Δ, so every engine returns the same k pairs
+    in the same order.
 
-    ``prune=True`` (unweighted engines only) replaces the two passes
-    with one Δ-aware pruned pass: it maintains the running k-th best Δ,
-    skips sources whose bound rules them out, and level-cuts the rest
-    (:mod:`repro.graph.prune`).  Because the running threshold never
-    exceeds the final k-th Δ and ties prune only *strictly* below it,
-    the returned list is identical — same pairs, same order — to the
-    unpruned engines.
+    ``prune`` selects no code path: both values return the same list.
+    It is kept for callers that pass it, and ``prune=True`` still raises
+    ``ValueError`` where the engine resolves to ``dict``.
 
     Returns fewer than k pairs when fewer than k pairs have Δ > 0.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
+    if validate:
+        check_snapshot_pair(g1, g2)
+    resolved = _resolve_engine(g1, g2, engine)
     if prune:
-        resolved = _resolve_engine(g1, g2, engine)
         _require_prunable(resolved, "against the running k-th Δ")
-        if validate:
-            check_snapshot_pair(g1, g2)
-        from repro.core.fastpairs import csr_top_k_rows
+    if resolved != "dict":
+        from repro.core.fastpairs import csr_top_k_pairs
 
-        rows = csr_top_k_rows(
-            g1, g2, k, incremental=resolved == "incremental", prune=True
-        )
-        out: List[ConvergingPair] = []
-        for u, v, d1uv, d2uv in rows:
-            cu, cv = canonical_pair(u, v)
-            out.append(ConvergingPair(cu, cv, d1uv, d2uv))
-        out.sort(key=ConvergingPair.sort_key)
-        return out[:k]
-    hist = delta_histogram(g1, g2, validate=validate, engine=engine)
+        return _ranked(csr_top_k_pairs(
+            g1, g2, k, incremental=resolved == "incremental"
+        ))[:k]
+    hist = delta_histogram(g1, g2, validate=False, engine="dict")
     # Find the smallest positive threshold with at least k pairs above it.
     threshold = None
     cumulative = 0
@@ -306,7 +311,7 @@ def top_k_converging_pairs(
     if threshold is None:
         return []
     pairs = converging_pairs_at_threshold(
-        g1, g2, threshold, validate=False, engine=engine
+        g1, g2, threshold, validate=False, engine="dict"
     )
     return pairs[:k]
 

@@ -134,8 +134,7 @@ def iter_msbfs_rows(
 
     Rows are yielded in ``sources`` order; each row is a distinct slice
     of its batch matrix (freshly allocated per batch, never reused), so
-    consumers may mutate a yielded row in place — the documented
-    contract of :func:`repro.core.fastpairs._row_stream`.
+    consumers may mutate a yielded row in place.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

@@ -39,6 +39,12 @@ SSSP_ENTRY_POINTS = frozenset({
     # pruning layer must never become an uncharged side door.
     "bounded_bfs_levels",
     "csr_top_k_rows",
+    # The CSR ground-truth collectors: each call obtains two rows per t1
+    # node (the paper's 2n-SSSP baseline), so an uncharged caller outside
+    # the ground-truth layer would bypass the budget model wholesale.
+    "csr_delta_histogram",
+    "csr_pairs_at_threshold",
+    "csr_top_k_pairs",
     # Bit-parallel multi-source BFS: one *source* in a batch is one SSSP
     # result of budgeted cost, exactly as if it ran alone — batching
     # amortises frontier sweeps, never charges (docs/budget-model.md).
@@ -65,8 +71,8 @@ R004_GROUND_TRUTH_PATHS = frozenset({
 
 #: Modules whose listed entry points count as SSSP work.  The CSR
 #: ground-truth engine (``repro.core.fastpairs``) is included because
-#: ``csr_top_k_rows`` runs O(n) traversals per call — importing it from
-#: an uncharged context would bypass the whole budget model.
+#: each of its collectors runs O(n) traversals per call — importing one
+#: into an uncharged context would bypass the whole budget model.
 _ENTRY_POINT_MODULES = ("repro.graph", "repro.core.fastpairs")
 
 

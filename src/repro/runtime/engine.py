@@ -338,6 +338,7 @@ class StreamRuntime:
             self.state_version = int(
                 payload.get("version", len(self.windows))
             )
+            self._refuse_hop_count_windows()
             self.breaker.restore(payload["breaker"])
             self._applied_seq = best
             self._checkpoint_seq = best
@@ -357,6 +358,36 @@ class StreamRuntime:
                 "runtime.replayed", batches=len(replayed),
                 upto=self._applied_seq,
             )
+
+    def _refuse_hop_count_windows(self) -> None:
+        """Refuse checkpointed exact windows that counted hops on weights.
+
+        Before weighted windows ran the dict engine, a weighted stream's
+        exact windows were computed in hop counts under the labels
+        ``incremental``/``csr-fallback``; ranked beside the Dijkstra
+        windows that follow, they would mix two units.  Weightedness is
+        decided as :meth:`_direct_pairs` decides it, on the window's
+        snapshots, and only for windows whose event prefix holds a
+        positive non-unit weight (one scan for unweighted streams).
+        """
+        first = next(
+            (i for i, row in enumerate(self._rows) if 0 < row[3] != 1), None
+        )
+        if first is None:
+            return
+        for window in self.windows:
+            hops = window.engine in ("incremental", "csr-fallback")
+            if not hops or window.end <= first:
+                continue
+            g1, g2 = self.window_snapshots(window.index)
+            if g1.is_weighted() or g2.is_weighted():
+                raise RuntimeRecoveryError(
+                    f"{self.directory}: window {window.index} of this "
+                    f"weighted stream holds hop counts (engine="
+                    f"{window.engine}), written before weighted windows "
+                    "used the dict engine; advance the stream into a "
+                    "fresh --wal-dir"
+                )
 
     def _verify_replayed(self, batch: List[EventRow]) -> None:
         """A WAL batch must match the source at the current position.

@@ -1,5 +1,7 @@
 """Equivalence tests: the CSR ground-truth engine vs the dict engine."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +18,11 @@ from conftest import random_snapshot_pair
 
 
 class TestEngineDispatch:
-    def test_auto_picks_incremental_for_unweighted(self, shortcut_pair):
+    def test_auto_picks_csr_for_unweighted(self, shortcut_pair):
         g1, g2 = shortcut_pair
         from repro.core.pairs import _resolve_engine
 
-        assert _resolve_engine(g1, g2, "auto") == "incremental"
+        assert _resolve_engine(g1, g2, "auto") == "csr"
         # Same result every way; smoke the dispatch paths explicitly.
         auto = delta_histogram(g1, g2, engine="auto")
         inc = delta_histogram(g1, g2, engine="incremental")
@@ -114,6 +116,36 @@ def snapshot_pair_strategy(draw):
     return Graph(edges[:cut]), Graph(edges)
 
 
+@st.composite
+def block_spanning_pair(draw):
+    """A pair whose ``G_t1`` has 65–200 nodes, so its rows span two to four
+    64-source msbfs blocks.
+
+    Node ids enter in shuffled order, isolated t1 nodes and several
+    components occur, and ``G_t2`` adds edges, some to t2-only nodes.
+    """
+    n1 = draw(st.integers(min_value=65, max_value=200))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    ids = list(range(n1))
+    rng.shuffle(ids)
+    g1 = Graph()
+    for u in ids:
+        g1.add_node(u)
+    for _ in range(draw(st.integers(min_value=n1 // 2, max_value=2 * n1))):
+        u, v = rng.sample(ids, 2)
+        g1.add_edge(u, v)
+    g2 = g1.copy()
+    universe = n1 + draw(st.integers(min_value=0, max_value=5))
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        u, v = rng.sample(range(universe), 2)
+        g2.add_edge(u, v)
+    return g1, g2
+
+
+def _rows(pairs):
+    return [(p.u, p.v, p.d1, p.d2) for p in pairs]
+
+
 class TestEquivalenceProperty:
     @settings(max_examples=50, deadline=None)
     @given(snapshot_pair_strategy())
@@ -132,3 +164,39 @@ class TestEquivalenceProperty:
         assert [(p.pair, p.d1, p.d2) for p in slow] == [
             (p.pair, p.d1, p.d2) for p in fast
         ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(block_spanning_pair())
+    def test_histogram_engines_agree_across_blocks(self, pair):
+        g1, g2 = pair
+        reference = delta_histogram(g1, g2, engine="dict")
+        for engine in ("csr", "incremental"):
+            hist = delta_histogram(g1, g2, engine=engine)
+            assert hist == reference, engine
+            assert all(type(d) is int and type(c) is int
+                       for d, c in hist.items())
+
+    @settings(max_examples=25, deadline=None)
+    @given(block_spanning_pair(), st.integers(min_value=1, max_value=4))
+    def test_threshold_engines_agree_across_blocks(self, pair, delta_min):
+        g1, g2 = pair
+        slow = converging_pairs_at_threshold(g1, g2, delta_min, engine="dict")
+        for engine in ("csr", "incremental"):
+            fast = converging_pairs_at_threshold(
+                g1, g2, delta_min, engine=engine
+            )
+            assert _rows(fast) == _rows(slow), engine
+
+    @settings(max_examples=25, deadline=None)
+    @given(block_spanning_pair(), st.sampled_from([1, 7, 50, 400]))
+    def test_top_k_engines_agree_across_blocks(self, pair, k):
+        g1, g2 = pair
+        slow = top_k_converging_pairs(g1, g2, k, engine="dict")
+        for engine in ("csr", "incremental"):
+            for prune in (False, True):
+                fast = top_k_converging_pairs(
+                    g1, g2, k, engine=engine, prune=prune
+                )
+                assert _rows(fast) == _rows(slow), (engine, prune)
+                assert all(type(p.d1) is int and type(p.d2) is int
+                           for p in fast)

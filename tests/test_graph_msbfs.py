@@ -115,11 +115,12 @@ class TestRowIterator:
             assert row.tobytes() == bfs_levels(csr, s).tobytes()
 
     def test_rows_are_independently_mutable(self):
-        """The documented _row_stream contract: consumers may mutate rows."""
+        """The documented iter_msbfs_rows contract: consumers may mutate
+        rows."""
         csr = CSRGraph.from_graph(path_graph(10))
         stream = iter_msbfs_rows(csr, range(10), batch_size=4)
         for s, row in stream:
-            row[: s + 1] = UNREACHED  # the fastpairs masking pattern
+            row[: s + 1] = UNREACHED  # mask the lower-index half in place
             # Mutation stays confined to this row: the next yielded row
             # still matches the per-source engine bit for bit.
             expect = bfs_levels(csr, s)

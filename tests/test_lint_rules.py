@@ -197,6 +197,31 @@ def test_r004_guards_pruned_entry_points():
     assert charged == []
 
 
+def test_r004_guards_the_ground_truth_collectors():
+    """Each CSR collector obtains two rows per t1 node, so a caller outside
+    the ground-truth layer must charge for them."""
+    from repro.lint.rules.budget import SSSP_ENTRY_POINTS
+
+    collectors = (
+        "csr_delta_histogram", "csr_pairs_at_threshold", "csr_top_k_pairs",
+    )
+    assert set(collectors) <= SSSP_ENTRY_POINTS
+    for name in collectors:
+        uncharged = lint(f"""
+            from repro.core.fastpairs import {name}
+            def shortcut(g1, g2):
+                return {name}(g1, g2, 3)
+        """)
+        assert codes(uncharged) == ["R004"], name
+        charged = lint(f"""
+            from repro.core.fastpairs import {name}
+            def charged(g1, g2, budget):
+                budget.charge("truth", "g1", 2 * g1.num_nodes)
+                return {name}(g1, g2, 3)
+        """)
+        assert charged == [], name
+
+
 def test_r004_guards_the_pair_row_source():
     """Algorithm 1's row source charges nothing itself, so every caller
     outside repro/graph must charge."""

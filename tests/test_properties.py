@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.budget import SPBudget
@@ -159,6 +159,53 @@ class TestPairProperties:
         for p in converging_pairs_at_threshold(g1, g2, 1):
             assert p.delta <= p.d1 - 1  # d2 >= 1 for distinct nodes
             assert p.d2 >= 1
+
+    @given(snapshot_pair(), NODE, st.integers(min_value=0, max_value=16))
+    def test_adding_an_edge_at_t2_never_lowers_a_delta(self, pair, u, v):
+        # v may name a node absent from both snapshots (a new node).
+        g1, g2 = pair
+        assume(u != v)
+        grown = g2.copy()
+        grown.add_edge(u, v)
+        before = {p.pair: p.delta
+                  for p in converging_pairs_at_threshold(g1, g2, 1)}
+        after = {p.pair: p.delta
+                 for p in converging_pairs_at_threshold(g1, grown, 1)}
+        assert all(after.get(pair_, 0) >= d for pair_, d in before.items())
+        # Δ = 0 pairs can only rise, so every tail count can only grow.
+        hist, grown_hist = delta_histogram(g1, g2), delta_histogram(g1, grown)
+        assert sum(hist.values()) == sum(grown_hist.values())
+        for delta in range(1, max(hist) + 1):
+            assert k_for_delta_threshold(grown_hist, delta) >= (
+                k_for_delta_threshold(hist, delta)
+            )
+
+    @given(snapshot_pair(), st.integers(min_value=1, max_value=12),
+           st.sets(NODE))
+    def test_relabelling_to_mixed_ids_keeps_the_top_k_up_to_ties(
+        self, pair, k, as_str
+    ):
+        """Ties break by ``repr``, so relabelled ids may reorder the pairs
+        tied at the k-th Δ; the Δ multiset and every pair strictly above
+        the k-th Δ stay put."""
+        g1, g2 = pair
+        name = {u: str(u) if u in as_str else u for u in g2.nodes()}
+
+        def relabel(g: Graph) -> Graph:
+            out = Graph()
+            for u in g.nodes():
+                out.add_node(name[u])
+            for u, v in g.edges():
+                out.add_edge(name[u], name[v])
+            return out
+
+        top = top_k_converging_pairs(g1, g2, k)
+        renamed = top_k_converging_pairs(relabel(g1), relabel(g2), k)
+        assert [p.delta for p in renamed] == [p.delta for p in top]
+        kth = top[-1].delta if len(top) == k else 0
+        assert {
+            frozenset((name[p.u], name[p.v])) for p in top if p.delta > kth
+        } == {frozenset(p.pair) for p in renamed if p.delta > kth}
 
 
 # ----------------------------------------------------------------------

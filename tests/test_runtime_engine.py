@@ -294,6 +294,26 @@ class TestRecoveryEdges:
         kinds = [kind for kind, _ in events]
         assert "runtime.recovered" in kinds
 
+    def test_hop_count_windows_of_a_weighted_stream_are_refused(
+        self, tmp_path, config
+    ):
+        """A weighted stream's checkpoint whose windows carry the hop-count
+        labels (as runs before weighted windows used the dict engine
+        wrote them) must not reopen: later windows would be Dijkstra
+        distances ranked beside hop counts."""
+        stream = internet_weighted(scale=0.05, seed=3)
+        runtime = StreamRuntime(stream, tmp_path / "wal", config)
+        runtime.run(max_batches=12)
+        assert {w.engine for w in runtime.windows} == {"dict"}
+        hop_label = {"dict": "incremental", "dict-fallback": "csr-fallback"}
+        for key in list(runtime.store.keys()):
+            payload = runtime.store.get(key)
+            for window in payload["windows"]:
+                window["engine"] = hop_label[window["engine"]]
+            runtime.store.put(key, payload)
+        with pytest.raises(RuntimeRecoveryError, match="fresh --wal-dir"):
+            StreamRuntime(stream, tmp_path / "wal", config)
+
 
 class TestBudgetedMode:
     def test_budgeted_windows_resume_identically(self, tmp_path, stream):
