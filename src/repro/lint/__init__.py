@@ -24,15 +24,13 @@ R010    uncharged-reachable-sssp        no uncharged call path API -> traversal
 R011    frozen-view-mutation            engine-returned arrays are never written
 R012    nondeterminism-reaches-output   entropy never reaches keys/WAL/rankings
 R013    cross-process-capture           worker tasks read no parent globals
+R014    nondeterministic-shm-...-name   shm segment names derive from the seed
 ======  ==============================  =======================================
 
 Run ``repro lint`` (or ``python -m repro.lint``); see
-docs/static-analysis.md for suppressions, SARIF output, the analysis
-cache, and the baseline workflow.
+docs/static-analysis.md for suppressions and SARIF output.
 """
 
-from repro.lint.baseline import Baseline
-from repro.lint.cache import AnalysisCache
 from repro.lint.callgraph import CallGraph
 from repro.lint.project import ProjectContext
 from repro.lint.registry import Rule, all_rules, get_rule
@@ -42,8 +40,6 @@ from repro.lint.suppress import parse_suppressions
 from repro.lint.violation import Violation
 
 __all__ = [
-    "AnalysisCache",
-    "Baseline",
     "CallGraph",
     "LintResult",
     "ProjectContext",

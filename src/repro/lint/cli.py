@@ -8,23 +8,14 @@ from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional
 
-from repro.lint.baseline import Baseline
-from repro.lint.cache import AnalysisCache
 from repro.lint.registry import all_rules, get_rule, select_rules
 from repro.lint.report import render_json, render_text
 from repro.lint.runner import lint_paths
 from repro.lint.sarif import render_sarif
-
-#: Default baseline location, relative to the repository root.
-DEFAULT_BASELINE = ".reprolint-baseline.json"
-
-#: Default per-file analysis cache directory (opt-in via --cache-dir).
-DEFAULT_CACHE_DIR = ".reprolint-cache"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -35,20 +26,12 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--strict", action="store_true",
-        help="also fail on stale baseline entries, stale suppressions, "
-             "and suppressions without a justification",
+        help="also fail on stale suppressions and suppressions without "
+             "a justification",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         dest="output_format", help="report format",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="record the current violations as the new baseline and exit 0",
     )
     parser.add_argument(
         "--select", default=None, metavar="CODES",
@@ -65,21 +48,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sarif", type=Path, default=None, metavar="PATH",
         help="also write the findings as a SARIF 2.1.0 document to PATH",
-    )
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="report only findings in files changed since --diff-base "
-             "(the whole program is still analyzed)",
-    )
-    parser.add_argument(
-        "--diff-base", default="HEAD", metavar="REF",
-        help="git ref --changed diffs against (default: HEAD)",
-    )
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        nargs="?", const=Path(DEFAULT_CACHE_DIR),
-        help=f"reuse per-file analysis results cached under DIR "
-             f"(default when given bare: {DEFAULT_CACHE_DIR})",
     )
 
 
@@ -107,40 +75,6 @@ def _print_explanation(code: str) -> int:
     return 0
 
 
-def _git_lines(args: Sequence[str]) -> List[str]:
-    completed = subprocess.run(
-        ["git", *args], capture_output=True, text=True, check=True
-    )
-    return [line for line in completed.stdout.splitlines() if line]
-
-
-def _changed_relpaths(
-    roots: Sequence[Path], diff_base: str
-) -> Set[str]:
-    """Lint-root-relative paths of files changed vs ``diff_base``.
-
-    Tracked changes come from ``git diff --name-only``; untracked new
-    files from ``git ls-files --others``.  Paths outside every lint
-    root are dropped — they cannot appear in the report anyway.
-    """
-    repo_paths = set(_git_lines(["diff", "--name-only", diff_base, "--"]))
-    repo_paths.update(
-        _git_lines(["ls-files", "--others", "--exclude-standard"])
-    )
-    changed: Set[str] = set()
-    for repo_path in repo_paths:
-        if not repo_path.endswith(".py"):
-            continue
-        resolved = Path(repo_path).resolve()
-        for root in roots:
-            base = root if root.is_dir() else root.parent
-            try:
-                changed.add(resolved.relative_to(base.resolve()).as_posix())
-            except ValueError:
-                continue
-    return changed
-
-
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation; returns the exit code."""
     try:
@@ -161,58 +95,23 @@ def _run_lint(args: argparse.Namespace) -> int:
     select = None
     if args.select:
         select = [code.strip() for code in args.select.split(",") if code.strip()]
-    baseline_path = args.baseline
-    if baseline_path is None:
-        default = Path(DEFAULT_BASELINE)
-        baseline_path = default if default.exists() or args.write_baseline else None
     paths = list(args.paths) or _default_paths()
     for path in paths:
         if not path.exists():
             print(f"error: no such path {path}", file=sys.stderr)
             return 2
     try:
-        baseline = (
-            Baseline.load(baseline_path) if baseline_path is not None
-            else Baseline()
-        )
-    except (ValueError, OSError) as exc:
-        print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-        return 2
-    changed: Optional[Set[str]] = None
-    if args.changed:
-        try:
-            changed = _changed_relpaths(paths, args.diff_base)
-        except (subprocess.CalledProcessError, OSError) as exc:
-            detail = getattr(exc, "stderr", "") or str(exc)
-            print(
-                f"error: --changed needs git: {detail.strip()}",
-                file=sys.stderr,
-            )
-            return 2
-    cache = (
-        AnalysisCache(args.cache_dir) if args.cache_dir is not None else None
-    )
-    try:
-        result = lint_paths(
-            paths, baseline=baseline, select=select, cache=cache,
-            changed=changed,
-        )
+        result = lint_paths(paths, select=select)
     except KeyError as exc:
         # select_rules' message lists the known codes.
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        target = baseline_path or Path(DEFAULT_BASELINE)
-        Baseline.from_violations(result.violations).save(target)
-        print(f"wrote {len(result.violations)} entr(y/ies) to {target}")
-        return 0
-
     if args.sarif is not None:
         rules = select_rules(select) if select else all_rules()
         args.sarif.parent.mkdir(parents=True, exist_ok=True)
         args.sarif.write_text(
-            render_sarif(result.new_violations, rules), encoding="utf-8"
+            render_sarif(result.violations, rules), encoding="utf-8"
         )
 
     render = render_json if args.output_format == "json" else render_text

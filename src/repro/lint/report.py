@@ -12,8 +12,7 @@ def render_text(result: LintResult, strict: bool = False) -> str:
     lines = []
     for path, error in result.parse_errors:
         lines.append(f"{path}: parse error: {error}")
-    baselined = len(result.violations) - len(result.new_violations)
-    for v in result.new_violations:
+    for v in result.violations:
         lines.append(f"{v.path}:{v.line}:{v.col} {v.code} {v.message}")
     if strict:
         for path, sup in result.unjustified_suppressions:
@@ -22,25 +21,16 @@ def render_text(result: LintResult, strict: bool = False) -> str:
                 f"{','.join(sup.codes)} has no justification; append "
                 f"'-- <why>'"
             )
-        for code, path, line_text in result.stale_baseline:
-            lines.append(
-                f"{path}: stale baseline entry {code} ({line_text!r}); "
-                f"regenerate with --write-baseline"
-            )
         for path, sup, code in result.stale_suppressions:
             lines.append(
                 f"{path}:{sup.comment_line}:0 R000 stale suppression: "
                 f"{code} no longer fires on line {sup.target_line}; "
                 f"delete the waiver"
             )
-    summary = (
-        f"{result.files} file(s): {len(result.new_violations)} new "
-        f"violation(s), {baselined} baselined"
-    )
+    summary = f"{result.files} file(s): {len(result.violations)} violation(s)"
     if strict:
         summary += (
-            f", {len(result.stale_baseline)} stale baseline entr(y/ies), "
-            f"{len(result.unjustified_suppressions)} unjustified "
+            f", {len(result.unjustified_suppressions)} unjustified "
             f"suppression(s), {len(result.stale_suppressions)} stale "
             f"suppression(s)"
         )
@@ -53,15 +43,10 @@ def render_json(result: LintResult, strict: bool = False) -> str:
     payload = {
         "files": result.files,
         "ok": result.ok(strict=strict),
-        "new_violations": [v.to_json() for v in result.new_violations],
-        "baselined": len(result.violations) - len(result.new_violations),
+        "violations": [v.to_json() for v in result.violations],
         "parse_errors": [
             {"path": path, "error": error}
             for path, error in result.parse_errors
-        ],
-        "stale_baseline": [
-            {"code": code, "path": path, "line_text": line_text}
-            for code, path, line_text in result.stale_baseline
         ],
         "unjustified_suppressions": [
             {"path": path, "line": sup.comment_line, "codes": list(sup.codes)}

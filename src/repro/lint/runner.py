@@ -1,7 +1,6 @@
 """Drive the two-phase analysis over files and fold in suppressions.
 
-Phase 1 runs every file-scope rule per file (cacheable: the result is
-a pure function of the file's bytes, its path, and the rule set).
+Phase 1 runs every file-scope rule on each file by itself.
 Phase 2 builds the whole-program :class:`ProjectContext` + call graph
 once and runs the project-scope rules over it.  Findings from both
 phases merge per file before suppressions apply, so one inline waiver
@@ -15,12 +14,11 @@ order, so reports are byte-identical across shuffled inputs.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import Baseline
-from repro.lint.cache import AnalysisCache, cache_key
 from repro.lint.callgraph import CallGraph
 from repro.lint.context import FileContext
 from repro.lint.project import ProjectContext
@@ -38,12 +36,8 @@ from repro.lint.violation import Violation
 class LintResult:
     """Everything one lint run produced."""
 
-    #: Violations not waived by a suppression (pre-baseline).
+    #: Violations not waived by a suppression — the set that fails a run.
     violations: List[Violation] = field(default_factory=list)
-    #: Violations not covered by the baseline either — the fatal set.
-    new_violations: List[Violation] = field(default_factory=list)
-    #: Baseline entries that matched nothing (fixed debt; strict error).
-    stale_baseline: List[tuple] = field(default_factory=list)
     #: Suppressions missing a justification (strict error).
     unjustified_suppressions: List[Tuple[str, Suppression]] = field(
         default_factory=list
@@ -61,12 +55,10 @@ class LintResult:
 
     def ok(self, strict: bool = False) -> bool:
         """Whether the run passes (strict adds stale/unjustified checks)."""
-        if self.new_violations or self.parse_errors:
+        if self.violations or self.parse_errors:
             return False
         if strict and (
-            self.stale_baseline
-            or self.unjustified_suppressions
-            or self.stale_suppressions
+            self.unjustified_suppressions or self.stale_suppressions
         ):
             return False
         return True
@@ -98,7 +90,7 @@ def lint_source(
     path: str = "<string>",
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Violation]:
-    """Lint one source string; suppressions applied, no baseline.
+    """Lint one source string; suppressions applied.
 
     ``path`` should be the lint-root-relative posix path — several rules
     scope themselves by package location (e.g. R002's allowlist, R004's
@@ -122,34 +114,29 @@ def _iter_python_files(root: Path) -> List[Path]:
 
 
 def _relative_path(file: Path, root: Path) -> str:
-    base = root if root.is_dir() else root.parent
-    try:
-        return file.relative_to(base).as_posix()
-    except ValueError:
-        return file.as_posix()
+    """``file``'s posix path below the outermost package around ``root``.
+
+    A root inside a package keeps its package path: ``src/repro/core``
+    yields ``repro/core/pairs.py``, as ``src`` does.
+    """
+    base = Path(os.path.abspath(root if root.is_dir() else root.parent))
+    while (base / "__init__.py").is_file():
+        base = base.parent
+    return Path(os.path.abspath(file)).relative_to(base).as_posix()
 
 
 def lint_paths(
-    paths: Sequence[Path],
-    *,
-    baseline: Optional[Baseline] = None,
-    select: Optional[Sequence[str]] = None,
-    cache: Optional[AnalysisCache] = None,
-    changed: Optional[Set[str]] = None,
+    paths: Sequence[Path], *, select: Optional[Sequence[str]] = None
 ) -> LintResult:
     """Lint every ``*.py`` under ``paths`` and aggregate the outcome.
 
-    Each path is a lint root: rule-relevant module paths (``repro/...``)
-    are computed relative to it, so pass ``src`` (or a file inside it).
-
-    ``cache`` reuses phase-1 results for byte-identical files;
-    ``changed`` restricts *reporting* to the given relative paths while
-    still analyzing the whole program (project rules need every file),
-    and disables stale-baseline accounting (undecidable on a slice).
+    Each path is a lint root.  Rule-relevant module paths (``repro/...``)
+    are taken from the directory above the outermost package around it,
+    so ``src``, ``src/repro/core`` and ``src/repro/core/pairs.py`` all
+    see ``repro/core/pairs.py``.  Project rules see only the files given.
     """
     rules = select_rules(select) if select else all_rules()
     file_rules, project_rules = _split_rules(rules)
-    file_rule_codes = sorted(r.code for r in file_rules)
     selected_codes = {r.code for r in rules}
     result = LintResult()
 
@@ -169,29 +156,19 @@ def lint_paths(
                 result.parse_errors.append((relpath, str(exc)))
                 continue
             contexts[relpath] = ctx
-            key = cache_key(relpath, source, file_rule_codes)
-            found = cache.get(key) if cache is not None else None
-            if found is None:
-                found = []
-                for r in file_rules:
-                    found.extend(r.check(ctx))
-                found.sort()
-                if cache is not None:
-                    cache.put(key, found)
-            raw_by_path[relpath] = list(found)
+            raw_by_path[relpath] = [v for r in file_rules for v in r.check(ctx)]
 
     ordered_contexts = [contexts[p] for p in sorted(contexts)]
     for violation in _check_project(ordered_contexts, project_rules):
         raw_by_path.setdefault(violation.path, []).append(violation)
 
-    all_violations: List[Violation] = []
     for relpath in sorted(raw_by_path):
         ctx = contexts.get(relpath)
         if ctx is None:
             continue
         raw = sorted(raw_by_path[relpath])
         suppressions = parse_suppressions(ctx.lines)
-        all_violations.extend(apply_suppressions(raw, suppressions))
+        result.violations.extend(apply_suppressions(raw, suppressions))
         result.unjustified_suppressions.extend(
             (relpath, sup) for sup in unjustified(suppressions)
         )
@@ -204,19 +181,5 @@ def lint_paths(
                     result.stale_suppressions.append((relpath, sup, code))
 
     result.parse_errors.sort()
-    all_violations.sort()
-    if changed is not None:
-        all_violations = [v for v in all_violations if v.path in changed]
-        result.unjustified_suppressions = [
-            item for item in result.unjustified_suppressions
-            if item[0] in changed
-        ]
-        result.stale_suppressions = [
-            item for item in result.stale_suppressions if item[0] in changed
-        ]
-    result.violations = all_violations
-    baseline = baseline if baseline is not None else Baseline()
-    result.new_violations, stale_baseline = baseline.partition(all_violations)
-    # A report slice cannot tell "fixed debt" from "file not reported".
-    result.stale_baseline = [] if changed is not None else stale_baseline
+    result.violations.sort()
     return result

@@ -19,21 +19,12 @@ class Violation:
     line: int
     #: 0-based column of the offending node.
     col: int
-    #: Rule code (``R001`` ... ``R008``).
+    #: Rule code (``R001`` ... ``R014``).
     code: str
     #: Human-readable description of the breach.
     message: str
-    #: The stripped source line, for fingerprinting and display.
+    #: The stripped source line, for display and SARIF fingerprints.
     line_text: str = ""
-
-    def fingerprint(self) -> tuple:
-        """Line-number-independent identity used by the baseline.
-
-        Keyed on the rule, the file, and the *text* of the offending
-        line, so unrelated edits above a legacy violation do not churn
-        the baseline.
-        """
-        return (self.code, self.path, self.line_text)
 
     def to_json(self) -> Dict[str, Any]:
         """JSON-reporter form."""
@@ -45,15 +36,3 @@ class Violation:
             "message": self.message,
             "line_text": self.line_text,
         }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "Violation":
-        """Inverse of :meth:`to_json` (used by the analysis cache)."""
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            code=str(data["code"]),
-            message=str(data["message"]),
-            line_text=str(data.get("line_text", "")),
-        )

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main as repro_main
 from repro.lint.cli import main as lint_main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+PKG = Path(SRC) / "repro"
 
 DIRTY = (
     "import networkx\n"
@@ -27,7 +33,7 @@ def write_tree(tmp_path: Path) -> Path:
 class TestExitCodes:
     def test_clean_repo_strict(self, capsys):
         assert repro_main(["lint", SRC, "--strict"]) == 0
-        assert "0 new violation(s)" in capsys.readouterr().out
+        assert "0 violation(s)" in capsys.readouterr().out
 
     def test_violations_fail(self, tmp_path, capsys):
         root = write_tree(tmp_path)
@@ -57,7 +63,7 @@ class TestSelectAndFormat:
         assert lint_main([str(root), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert {v["code"] for v in payload["new_violations"]} == {
+        assert {v["code"] for v in payload["violations"]} == {
             "R003", "R005",
         }
 
@@ -68,55 +74,48 @@ class TestSelectAndFormat:
             assert code in out
 
 
-class TestBaselineWorkflow:
-    def test_write_then_pass_then_strict_stale(self, tmp_path, capsys):
-        root = write_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
+class TestNarrowRoots:
+    """A root inside the package keeps its package path (``repro/...``),
+    so path-scoped rules and module names see what they see under src."""
 
-        # Record the legacy debt.
-        assert lint_main([
-            str(root), "--baseline", str(baseline), "--write-baseline",
-        ]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
+    @pytest.mark.parametrize("root", [
+        PKG / "core",
+        PKG / "graph",
+        PKG / "core" / "pairs.py",
+        PKG / "resilience" / "policy.py",
+    ], ids=lambda p: p.relative_to(PKG).as_posix())
+    def test_package_subtree_lints_clean(self, root, capsys):
+        assert lint_main([str(root), "--strict"]) == 0, capsys.readouterr().out
 
-        # Baselined violations no longer fail the run...
-        assert lint_main([str(root), "--baseline", str(baseline)]) == 0
-        assert "2 baselined" in capsys.readouterr().out
 
-        # ...a *new* violation still does...
-        (root / "repro" / "new.py").write_text(
-            "import networkx as nx\n", encoding="utf-8"
+REMOVED_FLAGS = [
+    ["--cache-dir"],
+    ["--changed"],
+    ["--diff-base", "HEAD"],
+    ["--baseline", "baseline.json"],
+    ["--write-baseline"],
+]
+
+
+class TestRemovedFlags:
+    """Every run analyses the whole program and every finding counts:
+    flags asking for a per-file cache, a changed-files report slice or a
+    baseline are usage errors (exit 2), never silently ignored."""
+
+    @pytest.mark.parametrize("flag", REMOVED_FLAGS, ids=lambda f: f[0])
+    def test_repro_lint_rejects(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["lint", str(tmp_path), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", REMOVED_FLAGS, ids=lambda f: f[0])
+    def test_python_m_repro_lint_rejects(self, flag, tmp_path):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.lint", str(tmp_path), *flag],
+            cwd=tmp_path, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
         )
-        assert lint_main([str(root), "--baseline", str(baseline)]) == 1
-        capsys.readouterr()
-        (root / "repro" / "new.py").unlink()
-
-        # ...and fixing debt without refreshing the baseline trips
-        # --strict (stale entries), while the default mode still passes.
-        (root / "repro" / "mod.py").write_text(
-            "def pick(items, seen=[]):\n    return seen\n", encoding="utf-8"
-        )
-        assert lint_main([str(root), "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert lint_main([
-            str(root), "--baseline", str(baseline), "--strict",
-        ]) == 1
-        assert "stale baseline" in capsys.readouterr().out
-
-        # Regenerating the baseline restores strict-green.
-        assert lint_main([
-            str(root), "--baseline", str(baseline), "--write-baseline",
-        ]) == 0
-        capsys.readouterr()
-        assert lint_main([
-            str(root), "--baseline", str(baseline), "--strict",
-        ]) == 0
-
-    def test_committed_baseline_is_empty(self):
-        committed = (
-            Path(__file__).resolve().parent.parent
-            / ".reprolint-baseline.json"
-        )
-        payload = json.loads(committed.read_text(encoding="utf-8"))
-        assert payload == {"version": 1, "entries": []}
+        assert completed.returncode == 2
+        assert "unrecognized arguments" in completed.stderr

@@ -1,27 +1,22 @@
 """Whole-program analyzer suite: symbol table, call graph, taint engine,
-the R010–R013 interprocedural rules, stale suppressions, the analysis
-cache, SARIF output, and the report-determinism property."""
+the R010–R013 interprocedural rules, stale suppressions, SARIF output,
+and the report-determinism property."""
 
 from __future__ import annotations
 
 import ast
 import json
 import random
-import subprocess
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.lint import (
-    AnalysisCache,
     CallGraph,
     ProjectContext,
     lint_paths,
     lint_source,
     render_sarif,
 )
-from repro.lint.cache import cache_key
 from repro.lint.cli import main as lint_main
 from repro.lint.context import FileContext
 from repro.lint.dataflow import (
@@ -549,7 +544,7 @@ def test_r013_constants_and_type_aliases_are_allowed():
 # ----------------------------------------------------------------------
 def test_repo_sources_pass_strict_with_project_rules():
     result = lint_paths([SRC])
-    assert result.new_violations == []
+    assert result.violations == []
     assert result.stale_suppressions == []
     assert result.ok(strict=True)
 
@@ -564,7 +559,7 @@ def test_stale_suppression_is_a_strict_finding(tmp_path):
         x = 1  # reprolint: disable=R001 -- left behind after a fix
     """))
     result = lint_paths([tmp_path])
-    assert result.new_violations == []
+    assert result.violations == []
     assert len(result.stale_suppressions) == 1
     path, sup, code = result.stale_suppressions[0]
     assert code == "R001" and path == "repro/mod.py"
@@ -586,7 +581,7 @@ def test_used_suppression_is_not_stale(tmp_path):
             return random.choice(items)  # reprolint: disable=R001 -- fixture
     """))
     result = lint_paths([tmp_path])
-    assert result.new_violations == []
+    assert result.violations == []
     assert result.stale_suppressions == []
     assert result.ok(strict=True)
 
@@ -597,41 +592,6 @@ def test_unselected_rules_cannot_make_a_suppression_stale(tmp_path):
     target.write_text("x = 1  # reprolint: disable=R001 -- judged elsewhere\n")
     result = lint_paths([tmp_path], select=["R005"])
     assert result.stale_suppressions == []
-
-
-# ----------------------------------------------------------------------
-# Analysis cache
-# ----------------------------------------------------------------------
-def test_cache_key_varies_with_every_input():
-    base = cache_key("repro/a.py", "x = 1\n", ["R001"])
-    assert cache_key("repro/b.py", "x = 1\n", ["R001"]) != base
-    assert cache_key("repro/a.py", "x = 2\n", ["R001"]) != base
-    assert cache_key("repro/a.py", "x = 1\n", ["R001", "R002"]) != base
-    assert cache_key("repro/a.py", "x = 1\n", ["R001"]) == base
-
-
-def test_cache_round_trips_and_hits_on_second_run(tmp_path):
-    src = tmp_path / "proj" / "repro"
-    src.mkdir(parents=True)
-    (src / "mod.py").write_text(
-        "import random\n\ndef pick(xs):\n    return random.choice(xs)\n"
-    )
-    cache = AnalysisCache(tmp_path / "cache")
-    first = lint_paths([tmp_path / "proj"], cache=cache)
-    assert cache.hits == 0 and cache.misses == 1
-    second = lint_paths([tmp_path / "proj"], cache=cache)
-    assert cache.hits == 1
-    assert [v.to_json() for v in first.new_violations] == [
-        v.to_json() for v in second.new_violations
-    ]
-
-
-def test_corrupt_cache_entry_reads_as_miss(tmp_path):
-    cache = AnalysisCache(tmp_path)
-    key = cache_key("repro/a.py", "x = 1\n", ["R001"])
-    cache.put(key, [])
-    (tmp_path / f"{key}.json").write_text("{not json")
-    assert cache.get(key) is None
 
 
 # ----------------------------------------------------------------------
@@ -658,10 +618,10 @@ def _violation_corpus(tmp_path) -> list:
 def test_reports_are_byte_identical_across_shuffled_orderings(tmp_path):
     paths = _violation_corpus(tmp_path)
     baseline_run = lint_paths(sorted(paths))
-    assert baseline_run.new_violations  # non-vacuous: corpus does violate
+    assert baseline_run.violations  # non-vacuous: corpus does violate
     expected_text = render_text(baseline_run, strict=True)
     expected_json = render_json(baseline_run, strict=True)
-    expected_sarif = render_sarif(baseline_run.new_violations, all_rules())
+    expected_sarif = render_sarif(baseline_run.violations, all_rules())
     rng = random.Random(2015)
     for _ in range(5):
         shuffled = list(paths)
@@ -669,7 +629,7 @@ def test_reports_are_byte_identical_across_shuffled_orderings(tmp_path):
         run = lint_paths(shuffled)
         assert render_text(run, strict=True) == expected_text
         assert render_json(run, strict=True) == expected_json
-        assert render_sarif(run.new_violations, all_rules()) == expected_sarif
+        assert render_sarif(run.violations, all_rules()) == expected_sarif
 
 
 # ----------------------------------------------------------------------
@@ -708,7 +668,7 @@ def test_sarif_golden_snapshot():
 
 
 # ----------------------------------------------------------------------
-# CLI: --explain, --sarif, --changed, --cache-dir
+# CLI: --explain, --sarif
 # ----------------------------------------------------------------------
 def test_cli_explain_prints_rule_documentation(capsys):
     assert lint_main(["--explain", "R010"]) == 0
@@ -728,55 +688,3 @@ def test_cli_sarif_writes_the_document(tmp_path, capsys):
     assert code == 1
     doc = json.loads(sarif_path.read_text(encoding="utf-8"))
     assert doc["runs"][0]["results"][0]["ruleId"] == "R001"
-
-
-def test_cli_cache_dir_populates_and_reuses(tmp_path, capsys):
-    target = tmp_path / "repro" / "mod.py"
-    target.parent.mkdir(parents=True)
-    target.write_text("x = 1\n")
-    cache_dir = tmp_path / "cache"
-    assert lint_main([str(tmp_path), "--cache-dir", str(cache_dir)]) == 0
-    entries = list(cache_dir.glob("*.json"))
-    assert entries
-    assert lint_main([str(tmp_path), "--cache-dir", str(cache_dir)]) == 0
-
-
-@pytest.fixture
-def git_project(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    src = tmp_path / "src" / "repro"
-    src.mkdir(parents=True)
-    (src / "old.py").write_text("import random\nx = random.random()\n")
-    run = lambda *args: subprocess.run(
-        ["git", *args], cwd=tmp_path, check=True, capture_output=True
-    )
-    run("init", "-q")
-    run("add", "-A")
-    run(
-        "-c", "user.email=ci@example.invalid", "-c", "user.name=ci",
-        "commit", "-qm", "seed",
-    )
-    return tmp_path
-
-
-def test_cli_changed_reports_only_touched_files(git_project, capsys):
-    (git_project / "src" / "repro" / "new.py").write_text(
-        "import random\ny = random.random()\n"
-    )
-    code = lint_main(["src", "--changed", "--format", "json"])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    flagged = {v["path"] for v in payload["new_violations"]}
-    assert flagged == {"repro/new.py"}  # old.py's violation is out of scope
-
-    code = lint_main(["src", "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert {v["path"] for v in payload["new_violations"]} == {
-        "repro/new.py", "repro/old.py",
-    }
-
-
-def test_cli_changed_clean_when_touched_files_are_clean(git_project, capsys):
-    (git_project / "src" / "repro" / "clean.py").write_text("z = 1\n")
-    assert lint_main(["src", "--changed"]) == 0

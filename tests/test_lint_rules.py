@@ -1,18 +1,15 @@
 """reprolint rule fixtures: each rule must catch its breach and stay
-quiet on the compliant twin, suppressions must waive precisely, and the
-baseline must round-trip.  Fast suite — pure AST work, no graphs."""
+quiet on the compliant twin, and suppressions must waive precisely.
+Fast suite — pure AST work, no graphs."""
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.lint import (
-    Baseline,
-    Violation,
     all_rules,
     get_rule,
     lint_paths,
@@ -649,57 +646,15 @@ def test_unjustified_suppressions_detected():
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def _violation(code="R003", path="repro/x.py", line=3,
-               line_text="import networkx") -> Violation:
-    return Violation(path=path, line=line, col=0, code=code,
-                     message="m", line_text=line_text)
-
-
-def test_baseline_roundtrip_and_partition(tmp_path):
-    legacy = _violation()
-    baseline = Baseline.from_violations([legacy])
-    target = tmp_path / "baseline.json"
-    baseline.save(target)
-    loaded = Baseline.load(target)
-    assert loaded.entries() == baseline.entries()
-
-    # Same fingerprint on a shifted line is still baselined; a new
-    # violation is not.
-    shifted = _violation(line=30)
-    fresh = _violation(path="repro/y.py")
-    new, stale = loaded.partition([shifted, fresh])
-    assert new == [fresh]
-    assert stale == []
-
-    # Fixing the legacy violation leaves a stale entry behind.
-    new, stale = loaded.partition([])
-    assert new == []
-    assert stale == [legacy.fingerprint()]
-
-
-def test_baseline_missing_file_is_empty(tmp_path):
-    assert len(Baseline.load(tmp_path / "absent.json")) == 0
-
-
-def test_baseline_rejects_unknown_version(tmp_path):
-    target = tmp_path / "baseline.json"
-    target.write_text(json.dumps({"version": 99, "entries": []}))
-    with pytest.raises(ValueError):
-        Baseline.load(target)
-
-
-# ----------------------------------------------------------------------
 # Repo gate: the linter stays green on the shipped sources
 # ----------------------------------------------------------------------
 def test_repo_sources_are_lint_clean():
     src = Path(__file__).resolve().parent.parent / "src"
     result = lint_paths([src])
     assert result.parse_errors == []
-    assert result.new_violations == [], "\n".join(
+    assert result.violations == [], "\n".join(
         f"{v.path}:{v.line} {v.code} {v.message}"
-        for v in result.new_violations
+        for v in result.violations
     )
     # Every in-repo suppression carries a justification (strict gate).
     assert result.unjustified_suppressions == []
