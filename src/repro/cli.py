@@ -27,6 +27,7 @@ from typing import Optional
 
 from repro.core.algorithm import find_top_k_converging_pairs
 from repro.core.pairs import (
+    ENGINES,
     _resolve_engine,
     converging_pairs_at_threshold,
     delta_histogram,
@@ -165,18 +166,11 @@ def cmd_truth(args) -> int:
     temporal = _load_input(args.input, args.scale, args.seed)
     g1, g2 = _snapshots(temporal, args.split)
     try:
-        engine = _resolve_engine(g1, g2, args.engine)
+        _resolve_engine(g1, g2, args.engine)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    if args.prune and engine == "dict":
-        raise CLIError(
-            "--prune requires an unweighted engine (csr/incremental); "
-            "this input resolves to the dict engine"
-        )
     if args.k is not None:
-        pairs = top_k_converging_pairs(
-            g1, g2, k=args.k, engine=args.engine, prune=args.prune
-        )
+        pairs = top_k_converging_pairs(g1, g2, k=args.k, engine=args.engine)
     else:
         hist = delta_histogram(g1, g2, engine=args.engine)
         positive = [d for d in hist if d > 0]
@@ -185,7 +179,7 @@ def cmd_truth(args) -> int:
             return 0
         delta = max(1, max(positive) - args.delta_offset)
         pairs = converging_pairs_at_threshold(
-            g1, g2, delta, engine=args.engine, prune=args.prune
+            g1, g2, delta, engine=args.engine
         )
         print(f"δ = {delta:g} (Δmax = {max(positive):g}), k = {len(pairs)}")
     _print_pairs(pairs, args.limit)
@@ -808,12 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="δ = Δmax − offset when --k is absent")
     truth.add_argument("--limit", type=int, default=20,
                        help="pairs to print")
-    truth.add_argument("--prune", action="store_true",
-                       help="accepted for compatibility: selects no code "
-                            "path and changes no output (unweighted "
-                            "engines only)")
-    truth.add_argument("--engine", default="auto",
-                       choices=["auto", "incremental", "csr", "dict"],
+    truth.add_argument("--engine", default="auto", choices=ENGINES,
                        help="ground-truth engine (auto: csr, msbfs rows "
                             "on both snapshots, for unweighted snapshots; "
                             "dict otherwise)")

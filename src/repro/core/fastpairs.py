@@ -7,15 +7,15 @@ t1's node order.  Row ``i`` owns the pair at column ``j`` when
 ``j > i`` and ``j`` is reachable at t1, so every connected pair is seen
 once, in ``(i, j)`` order, and each collector — :func:`csr_delta_histogram`,
 :func:`csr_pairs_at_threshold`, :func:`csr_top_k_pairs` — takes a few
-numpy operations per block.  The explicit ``incremental`` engine feeds
-them an msbfs t1 block plus one
-:func:`~repro.graph.incremental.repair_levels` row per source.
+numpy operations per block.
 
 :func:`csr_top_k_rows` is the older per-source single pass with Δ-aware
-pruning (:mod:`repro.graph.prune`); no query path calls it.
+pruning (:mod:`repro.graph.prune`) over
+:func:`~repro.graph.incremental.repair_levels` rows; no query path calls
+it, only its benchmark.
 :mod:`repro.core.pairs` dispatches here (``engine="auto"`` resolves to
-``csr`` on unweighted snapshots); the equivalence tests assert all
-engines agree exactly, pair for pair.
+``csr`` on unweighted snapshots); the equivalence tests assert that it
+agrees exactly with the ``dict`` engine, pair for pair.
 """
 
 from __future__ import annotations
@@ -44,21 +44,18 @@ Row = Tuple[object, object, int, int]
 Block = Tuple[int, np.ndarray, np.ndarray]
 
 
-def _blocks(
-    g1: Graph, g2: Graph, incremental: bool
-) -> Tuple[Sequence[object], Iterator[Block]]:
+def _blocks(g1: Graph, g2: Graph) -> Tuple[Sequence[object], Iterator[Block]]:
     """t1 node order plus the level blocks of every t1 source.
 
     Block ``(s, lv1, lv2)`` holds the rows of sources ``s .. s + b − 1``
     (``b <= 64``): ``lv1`` on ``G_t1`` and ``lv2`` on ``G_t2``, both
     ``(b, n1)`` ``int32`` arrays in t1's node order.
     """
-    delta = SnapshotDelta.from_graphs(g1, g2) if incremental else None
-    views = delta if delta is not None else SnapshotPair.from_graphs(g1, g2)
-    csr1, csr2, mapping = views.csr1, views.csr2, views.mapping
+    pair = SnapshotPair.from_graphs(g1, g2)
+    csr1, csr2, mapping = pair.csr1, pair.csr2, pair.mapping
     if csr1 is None or csr2 is None or mapping is None:
         raise ValueError(
-            "the CSR engines count hops; weighted snapshots need the dict "
+            "the CSR engine counts hops; weighted snapshots need the dict "
             "engine"
         )
 
@@ -67,10 +64,7 @@ def _blocks(
         for start in range(0, n, DEFAULT_BATCH):
             sources = np.arange(start, min(start + DEFAULT_BATCH, n))
             lv1 = msbfs_levels(csr1, sources)
-            if delta is None:
-                lv2 = msbfs_levels(csr2, mapping[sources])
-            else:
-                lv2 = np.stack([repair_levels(delta, row) for row in lv1])
+            lv2 = msbfs_levels(csr2, mapping[sources])
             yield start, lv1, lv2[:, mapping]
 
     return csr1.nodes, blocks()
@@ -97,16 +91,14 @@ def _rows_at(
     ]
 
 
-def csr_delta_histogram(
-    g1: Graph, g2: Graph, incremental: bool = False
-) -> Counter:
+def csr_delta_histogram(g1: Graph, g2: Graph) -> Counter:
     """Exact Δ histogram over connected t1 pairs (unweighted fast path).
 
     Keys and counts are Python ints.  Keys enter in the order a scan of
     the rows in source order meets them (by first row, then by value),
     so the ``Counter`` iterates as the per-row engine's did.
     """
-    _, blocks = _blocks(g1, g2, incremental)
+    _, blocks = _blocks(g1, g2)
     hist: Counter = Counter()
     for start, lv1, lv2 in blocks:
         own = _owned(start, lv1)
@@ -128,7 +120,7 @@ def csr_delta_histogram(
 
 
 def csr_pairs_at_threshold(
-    g1: Graph, g2: Graph, delta_min: float, incremental: bool = False
+    g1: Graph, g2: Graph, delta_min: float
 ) -> List[Row]:
     """All ``(u, v, d1, d2)`` rows with ``Δ >= delta_min`` (u-index < v-index).
 
@@ -137,7 +129,7 @@ def csr_pairs_at_threshold(
     :class:`~repro.core.pairs.ConvergingPair` objects so every engine
     shares one construction path.
     """
-    nodes, blocks = _blocks(g1, g2, incremental)
+    nodes, blocks = _blocks(g1, g2)
     rows: List[Row] = []
     for block in blocks:
         start, lv1, lv2 = block
@@ -146,9 +138,7 @@ def csr_pairs_at_threshold(
     return rows
 
 
-def csr_top_k_pairs(
-    g1: Graph, g2: Graph, k: int, incremental: bool = False
-) -> List[Row]:
+def csr_top_k_pairs(g1: Graph, g2: Graph, k: int) -> List[Row]:
     """Rows holding the exact top-k, from one pass at the running k-th Δ.
 
     Each block offers its Δs to a :class:`~repro.graph.prune.KthTracker`
@@ -161,7 +151,7 @@ def csr_top_k_pairs(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    nodes, blocks = _blocks(g1, g2, incremental)
+    nodes, blocks = _blocks(g1, g2)
     tracker = KthTracker(k)
     rows: List[Row] = []
     compact_at = max(4 * k, 256)

@@ -114,18 +114,17 @@ def pair_delta(g1: Graph, g2: Graph, u: Node, v: Node) -> Optional[float]:
 
 
 #: Recognised values of the ``engine`` argument, in resolution order.
-ENGINES = ("auto", "incremental", "csr", "dict")
+ENGINES = ("auto", "csr", "dict")
 
 
 def _resolve_engine(g1: Graph, g2: Graph, engine: str) -> str:
-    """Resolve the requested engine to ``incremental``/``csr``/``dict``.
+    """Resolve the requested engine to ``csr`` or ``dict``.
 
     ``auto`` picks the CSR engine — msbfs rows in blocks of 64 sources on
     both snapshots (:mod:`repro.core.fastpairs`) — whenever both
     snapshots are unweighted, and the dict engine otherwise.  Explicit
-    names are honoured as given, except that ``csr`` and
-    ``incremental`` count hops and so raise ``ValueError`` on a weighted
-    pair.
+    names are honoured as given, except that ``csr`` counts hops and so
+    raises ``ValueError`` on a weighted pair.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -168,21 +167,16 @@ def delta_histogram(
     ``engine`` selects the implementation: ``"dict"`` streams Python
     distance maps (works for weighted graphs), ``"csr"`` takes both
     snapshots' level rows from the multi-source BFS in blocks of 64
-    sources, ``"incremental"`` takes the same t1 blocks and repairs each
-    t1 row into its t2 row through the precomputed snapshot delta
-    (:mod:`repro.graph.incremental`), and ``"auto"`` (default) picks
-    ``csr`` whenever both snapshots are unweighted.  All engines return
-    identical histograms — a property the test suite pins down.
+    sources, and ``"auto"`` (default) picks ``csr`` whenever both
+    snapshots are unweighted.  Both engines return identical histograms
+    — a property the test suite pins down.
     """
     if validate:
         check_snapshot_pair(g1, g2)
-    resolved = _resolve_engine(g1, g2, engine)
-    if resolved != "dict":
+    if _resolve_engine(g1, g2, engine) == "csr":
         from repro.core.fastpairs import csr_delta_histogram
 
-        return csr_delta_histogram(
-            g1, g2, incremental=resolved == "incremental"
-        )
+        return csr_delta_histogram(g1, g2)
     rank = {u: i for i, u in enumerate(g1.nodes())}
     hist: Counter = Counter()
     for u, d1, d2 in _delta_rows(g1, g2, validate=False):
@@ -213,43 +207,24 @@ def k_for_delta_threshold(hist: Counter, delta_min: float) -> int:
     return sum(c for d, c in hist.items() if d >= delta_min)
 
 
-def _require_prunable(resolved: str, what: str) -> None:
-    """Reject ``prune=True`` on engines without level-array bounds."""
-    if resolved == "dict":
-        raise ValueError(
-            f"prune=True requires an unweighted engine (csr/incremental); "
-            f"the dict engine has no level arrays to bound {what}"
-        )
-
-
 def converging_pairs_at_threshold(
     g1: Graph, g2: Graph, delta_min: float, validate: bool = True,
-    engine: str = "auto", prune: bool = False,
+    engine: str = "auto",
 ) -> List[ConvergingPair]:
     """All connected t1-pairs with ``Δ >= delta_min``, best Δ first.
 
     ``delta_min`` must be positive: Δ = 0 pairs (no change) are never
     "converging", and collecting them would materialise nearly all pairs.
     ``engine`` follows :func:`delta_histogram`'s convention.
-
-    ``prune`` selects no code path: both values run the same collection
-    and return the same list.  It is kept for callers that pass it, and
-    ``prune=True`` still raises ``ValueError`` where the engine resolves
-    to ``dict`` (an explicit ``dict``, or weighted snapshots).
     """
     if delta_min <= 0:
         raise ValueError(f"delta_min must be positive, got {delta_min}")
     if validate:
         check_snapshot_pair(g1, g2)
-    resolved = _resolve_engine(g1, g2, engine)
-    if prune:
-        _require_prunable(resolved, "against the threshold")
-    if resolved != "dict":
+    if _resolve_engine(g1, g2, engine) == "csr":
         from repro.core.fastpairs import csr_pairs_at_threshold
 
-        return _ranked(csr_pairs_at_threshold(
-            g1, g2, delta_min, incremental=resolved == "incremental"
-        ))
+        return _ranked(csr_pairs_at_threshold(g1, g2, delta_min))
     rank = {u: i for i, u in enumerate(g1.nodes())}
     rows: List[Tuple[Node, Node, float, float]] = []
     for u, d1, d2 in _delta_rows(g1, g2, validate=False):
@@ -269,20 +244,20 @@ def top_k_converging_pairs(
 ) -> List[ConvergingPair]:
     """The exact top-k converging pairs (Problem 1), ground-truth solution.
 
-    The unweighted engines (``csr``, ``incremental``) collect in one
-    pass: each block of sources offers its Δs to the running k-th best
-    Δ and keeps the pairs at or above it
-    (:func:`~repro.core.fastpairs.csr_top_k_pairs`).  The ``dict`` engine
-    makes two streaming passes: a Δ histogram to locate the k-th score,
-    then a collection pass at that threshold.  Residual ties at the
-    boundary are broken deterministically by
+    The ``csr`` engine collects in one pass: each block of sources
+    offers its Δs to the running k-th best Δ and keeps the pairs at or
+    above it (:func:`~repro.core.fastpairs.csr_top_k_pairs`).  The
+    ``dict`` engine makes two streaming passes: a Δ histogram to locate
+    the k-th score, then a collection pass at that threshold.  Residual
+    ties at the boundary are broken deterministically by
     :meth:`ConvergingPair.sort_key`, and the running threshold never
-    exceeds the final k-th Δ, so every engine returns the same k pairs
-    in the same order.
+    exceeds the final k-th Δ, so both engines return the same k pairs in
+    the same order.
 
     ``prune`` selects no code path: both values return the same list.
     It is kept for callers that pass it, and ``prune=True`` still raises
-    ``ValueError`` where the engine resolves to ``dict``.
+    ``ValueError`` where the engine resolves to ``dict`` (an explicit
+    ``dict``, or weighted snapshots).
 
     Returns fewer than k pairs when fewer than k pairs have Δ > 0.
     """
@@ -291,14 +266,16 @@ def top_k_converging_pairs(
     if validate:
         check_snapshot_pair(g1, g2)
     resolved = _resolve_engine(g1, g2, engine)
-    if prune:
-        _require_prunable(resolved, "against the running k-th Δ")
-    if resolved != "dict":
+    if prune and resolved == "dict":
+        raise ValueError(
+            "prune=True requires the unweighted csr engine; the dict "
+            "engine has no level arrays to bound against the running "
+            "k-th Δ"
+        )
+    if resolved == "csr":
         from repro.core.fastpairs import csr_top_k_pairs
 
-        return _ranked(csr_top_k_pairs(
-            g1, g2, k, incremental=resolved == "incremental"
-        ))[:k]
+        return _ranked(csr_top_k_pairs(g1, g2, k))[:k]
     hist = delta_histogram(g1, g2, validate=False, engine="dict")
     # Find the smallest positive threshold with at least k pairs above it.
     threshold = None

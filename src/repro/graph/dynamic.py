@@ -205,7 +205,8 @@ class TemporalGraph:
                 continue
             # Re-insertions of an existing edge are tolerated (real edge
             # streams contain repeated interactions); the simple graph
-            # keeps one edge and the latest weight.
+            # keeps one edge and its first weight: a re-insertion never
+            # makes an existing edge heavier, so distances never grow.
             if not g.has_edge(ev.u, ev.v):
                 g.add_edge(ev.u, ev.v, ev.weight)
 

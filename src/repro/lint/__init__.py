@@ -31,24 +31,30 @@ Run ``repro lint`` (or ``python -m repro.lint``); see
 docs/static-analysis.md for suppressions and SARIF output.
 """
 
-from repro.lint.callgraph import CallGraph
-from repro.lint.project import ProjectContext
-from repro.lint.registry import Rule, all_rules, get_rule
-from repro.lint.runner import LintResult, lint_paths, lint_source
-from repro.lint.sarif import render_sarif
-from repro.lint.suppress import parse_suppressions
-from repro.lint.violation import Violation
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "CallGraph",
-    "LintResult",
-    "ProjectContext",
-    "Rule",
-    "Violation",
-    "all_rules",
-    "get_rule",
-    "lint_paths",
-    "lint_source",
-    "parse_suppressions",
-    "render_sarif",
-]
+#: Public name -> defining module.  Each is imported on first access, so
+#: that ``repro`` builds its ``lint`` subcommand without loading the
+#: analyzer.
+_EXPORTS = {
+    "CallGraph": "repro.lint.callgraph",
+    "LintResult": "repro.lint.runner",
+    "ProjectContext": "repro.lint.project",
+    "Rule": "repro.lint.registry",
+    "Violation": "repro.lint.violation",
+    "all_rules": "repro.lint.registry",
+    "get_rule": "repro.lint.registry",
+    "lint_paths": "repro.lint.runner",
+    "lint_source": "repro.lint.runner",
+    "parse_suppressions": "repro.lint.suppress",
+    "render_sarif": "repro.lint.sarif",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_EXPORTS[name]), name)

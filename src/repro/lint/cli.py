@@ -13,8 +13,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.lint.registry import all_rules, get_rule, select_rules
-from repro.lint.report import render_json, render_text
-from repro.lint.runner import lint_paths
 from repro.lint.sarif import render_sarif
 
 
@@ -87,6 +85,11 @@ def run_lint(args: argparse.Namespace) -> int:
 
 
 def _run_lint(args: argparse.Namespace) -> int:
+    # The analyzer loads here, not at import: `repro` imports this
+    # module for every command to build the lint subparser.
+    from repro.lint.report import render_json, render_text
+    from repro.lint.runner import lint_paths
+
     if args.list_rules:
         _print_rules()
         return 0

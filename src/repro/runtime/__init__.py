@@ -5,7 +5,7 @@ stream: every accepted batch is WAL-logged before it is applied
 (:mod:`~repro.runtime.wal`), windows of top-k converging pairs are
 closed at checkpoint boundaries (:mod:`~repro.runtime.engine`), and the
 failure paths are owned by dedicated components — bounded restarts
-(:mod:`~repro.runtime.supervisor`), incremental-engine degradation
+(:mod:`~repro.runtime.supervisor`), degradation to the fallback path
 (:mod:`~repro.runtime.breaker`), and soft resource budgets
 (:mod:`~repro.runtime.guards`).  See ``docs/runtime.md`` for the WAL
 format, the recovery procedure, and the failure-mode matrix.

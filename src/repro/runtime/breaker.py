@@ -1,19 +1,19 @@
-"""Clock-free circuit breaker gating the incremental repair engine.
+"""Clock-free circuit breaker gating the runtime's validated direct attempt.
 
-The streaming runtime prefers delta-BFS repairs
-(:mod:`repro.graph.incremental`) because they are cheap, but a stream
-that keeps violating the subgraph precondition (deletions, re-keyed
-nodes) makes every repair attempt a wasted validation pass before the
-inevitable full-BFS fallback.  The breaker turns that per-window retry
-into a state machine:
+The streaming runtime first computes each window on its snapshot pair
+as given, after checking that ``G_t1`` is a subgraph of ``G_t2``, but a
+stream that keeps violating that precondition (deletions, re-keyed
+nodes) makes every attempt a wasted validation pass before the
+inevitable fallback on the repaired pair.  The breaker turns that
+per-window retry into a state machine:
 
-* **CLOSED** — repairs are attempted; ``failure_threshold`` consecutive
+* **CLOSED** — attempts are made; ``failure_threshold`` consecutive
   failures trip the breaker OPEN.
-* **OPEN** — repairs are skipped outright (full BFS is used) for a
+* **OPEN** — attempts are skipped outright (the fallback is used) for a
   *probe wait* counted in denied requests, not seconds: wall-clock
   waits would make recovery runs diverge from uninterrupted ones, and
   the runtime's request cadence (one per window) is the natural clock.
-* **HALF_OPEN** — one probe repair is allowed through.  Success closes
+* **HALF_OPEN** — one probe attempt is allowed through.  Success closes
   the breaker; failure re-opens it with a longer wait (doubled per
   consecutive trip, clamped at ``max_probe_after``).
 

@@ -10,10 +10,10 @@ always-on service loop over a sanitized edge stream:
    source);
 2. every ``checkpoint_every`` batches close a **window**: the top-k
    converging pairs between the snapshot at the window's start and its
-   end are computed — through the incremental delta-BFS engine while
-   the :class:`~repro.runtime.breaker.CircuitBreaker` is closed, through
-   the full-BFS fallback while it is open (weighted streams take
-   Dijkstra rows from the dict engine on both paths);
+   end are computed — on the ``csr`` engine while the
+   :class:`~repro.runtime.breaker.CircuitBreaker` is closed, on the
+   repaired pair while it is open (weighted streams take Dijkstra rows
+   from the dict engine on both paths);
 3. each closed window is followed by a checkpoint
    (:class:`~repro.resilience.checkpoint.CheckpointStore`) and WAL
    compaction, so recovery cost stays bounded.
@@ -27,8 +27,8 @@ checkpointed breaker state), and all of those are restored exactly.
 
 Failure handling is layered: window computation runs under a
 :class:`~repro.runtime.supervisor.Supervisor` (bounded lifetime
-restarts, then escalate); repair-engine failures feed the breaker
-(degrading to full BFS, probing back); resource-budget breaches
+restarts, then escalate); failed direct attempts feed the breaker
+(degrading to the fallback, probing back); resource-budget breaches
 (:class:`~repro.runtime.guards.ResourceGuard`) checkpoint-and-shed
 instead of dying to the OOM killer.
 """
@@ -51,7 +51,7 @@ from repro.resilience.policy import RetryPolicy
 from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.guards import ResourceGuard
 from repro.runtime.supervisor import Supervisor
-from repro.runtime.wal import ChaosHook, WALError, WriteAheadLog
+from repro.runtime.wal import ChaosHook, WriteAheadLog
 from repro.selection import get_selector
 
 PathLike = Union[str, Path]
@@ -183,13 +183,6 @@ class RuntimeReport:
         return "\n".join(lines)
 
 
-def _event_rows(temporal: TemporalGraph) -> List[EventRow]:
-    """A temporal graph's stream as JSON-stable rows."""
-    return [
-        [ev.time, ev.u, ev.v, ev.weight] for ev in temporal.events()
-    ]
-
-
 def _materialise(rows: Sequence[EventRow]) -> Graph:
     """The graph aggregating ``rows`` (same semantics as TemporalGraph)."""
     temporal = TemporalGraph()
@@ -225,9 +218,9 @@ class StreamRuntime:
         sequence (``wal.append.mid``, ``checkpoint.mid``,
         ``repair.mid``); the chaos suite SIGKILLs there.
     repair_injector / window_injector:
-        Deterministic fault hooks: the first fails incremental repair
-        attempts (exercising the breaker), the second fails whole
-        window computations (exercising the supervisor).
+        Deterministic fault hooks: the first fails direct attempts
+        (exercising the breaker), the second fails whole window
+        computations (exercising the supervisor).
     on_advance:
         Optional :data:`AdvanceCallback` invoked after every window
         close with ``(state_version, window)`` — including windows
@@ -275,8 +268,9 @@ class StreamRuntime:
             self.directory, fsync=fsync, chaos=self._chaos
         )
         self.store = CheckpointStore(self.directory / "checkpoints")
-        self._source_rows = _event_rows(source)
-        self._rows: List[EventRow] = []
+        self._source_rows: List[EventRow] = [
+            [ev.time, ev.u, ev.v, ev.weight] for ev in source.events()
+        ]
         self.consumed = 0
         self.windows: List[WindowResult] = []
         self.state_version = 0
@@ -323,8 +317,12 @@ class StreamRuntime:
                     f"{self.directory}: checkpoint at sequence {best} is "
                     "unreadable or schema-mismatched"
                 )
-            self._rows = [list(row) for row in payload["events"]]
             self.consumed = int(payload["consumed"])
+            if payload["events"] != self._source_rows[:self.consumed]:
+                raise RuntimeRecoveryError(
+                    f"{self.directory}: checkpoint at sequence {best} does "
+                    "not match the source stream — the input changed"
+                )
             self.windows = [
                 WindowResult.from_payload(row)
                 for row in payload["windows"]
@@ -371,7 +369,8 @@ class StreamRuntime:
         positive non-unit weight (one scan for unweighted streams).
         """
         first = next(
-            (i for i, row in enumerate(self._rows) if 0 < row[3] != 1), None
+            (i for i, r in enumerate(self._source_rows) if 0 < r[3] != 1),
+            None,
         )
         if first is None:
             return
@@ -455,7 +454,6 @@ class StreamRuntime:
         return report
 
     def _apply_batch(self, batch: Sequence[EventRow], seq: int) -> None:
-        self._rows.extend(list(row) for row in batch)
         self.consumed += len(batch)
         self._applied_seq = seq
         while self.consumed - self._window_start >= self.config.window_events:
@@ -484,9 +482,10 @@ class StreamRuntime:
     def window_snapshots(self, index: int) -> Tuple[Graph, Graph]:
         """The ``(G_t1, G_t2)`` snapshot pair of closed window ``index``.
 
-        Materialised from the applied event prefix, so the pair is a
-        pure function of checkpointed state — two runtimes at the same
-        state version return identical snapshots.
+        Materialised from the applied prefix of the source, which
+        recovery checks, so the pair is a pure function of checkpointed
+        state — two runtimes at the same state version return identical
+        snapshots.
         """
         if not 0 <= index < len(self.windows):
             raise IndexError(
@@ -495,8 +494,8 @@ class StreamRuntime:
             )
         window = self.windows[index]
         return (
-            _materialise(self._rows[:window.start]),
-            _materialise(self._rows[:window.end]),
+            _materialise(self._source_rows[:window.start]),
+            _materialise(self._source_rows[:window.end]),
         )
 
     # ------------------------------------------------------------------
@@ -505,8 +504,8 @@ class StreamRuntime:
     def _close_window(self, end: int) -> None:
         index = len(self.windows)
         start = self._window_start
-        g1 = _materialise(self._rows[:start])
-        g2 = _materialise(self._rows[:end])
+        g1 = _materialise(self._source_rows[:start])
+        g2 = _materialise(self._source_rows[:end])
         # The breaker is consulted exactly once per window, outside the
         # supervised attempt, so restarts cannot skew its schedule.
         try_direct = self.breaker.allow()
@@ -546,7 +545,7 @@ class StreamRuntime:
                 return self._direct_pairs(index, g1, g2)
             except (GraphValidationError, ValueError, InjectedFault) as exc:
                 # Real failures (a window violating the subgraph
-                # precondition — deletions in the stream — or a repair
+                # precondition — deletions in the stream — or a pair
                 # the engine rejects) and injected ones feed the
                 # breaker the same way.
                 log_event(
@@ -560,7 +559,7 @@ class StreamRuntime:
     ) -> Tuple[List[ConvergingPair], str, bool]:
         if self.config.selector is None:
             weighted = g1.is_weighted() or g2.is_weighted()
-            engine = "dict" if weighted else "incremental"
+            engine = "dict" if weighted else "csr"
             pairs = top_k_converging_pairs(
                 g1, g2, self.config.k, validate=True, engine=engine
             )
@@ -580,8 +579,8 @@ class StreamRuntime:
     def _fallback_pairs(
         self, index: int, g1: Graph, g2: Graph
     ) -> Tuple[List[ConvergingPair], str, bool]:
-        """Full-BFS degraded path: repair the pair, never trust the
-        incremental engine.
+        """Degraded path: repair the pair, never trust the validated
+        direct attempt.
 
         ``repair_snapshot_pair`` projects ``g2`` onto the nearest valid
         superset of ``g1`` (a no-op copy when the pair is already
@@ -626,7 +625,7 @@ class StreamRuntime:
             "seq": seq,
             "consumed": self.consumed,
             "version": self.state_version,
-            "events": [list(row) for row in self._rows],
+            "events": self._source_rows[:self.consumed],
             "windows": [w.to_payload() for w in self.windows],
             "breaker": self.breaker.to_payload(),
         }

@@ -1,8 +1,22 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+
+
+def test_parser_leaves_the_lint_analyzer_unloaded():
+    """Every command builds the `lint` subparser; only `repro lint` pays
+    for importing the analyzer behind it."""
+    code = ("import sys; from repro.cli import build_parser; build_parser(); "
+            "print([m for m in ('runner', 'project', 'callgraph', "
+            "'dataflow', 'rules') if 'repro.lint.' + m in sys.modules])")
+    completed = subprocess.run([sys.executable, "-c", code],
+                               capture_output=True, text=True, check=True)
+    assert completed.stdout == "[]\n"
 
 
 class TestListing:
@@ -70,7 +84,7 @@ class TestTruth:
     def test_engine_choice_is_byte_invisible(self, capsys):
         """The engine flag is an execution detail, never a result."""
         outputs = []
-        for engine in ["incremental", "csr", "dict"]:
+        for engine in ["auto", "csr", "dict"]:
             rc = main(["truth", "facebook", "--scale", "0.1",
                        "--delta-offset", "1", "--engine", engine])
             assert rc == 0
@@ -78,7 +92,7 @@ class TestTruth:
         assert outputs[0] == outputs[1] == outputs[2]
         assert "δ =" in outputs[0]
 
-    @pytest.mark.parametrize("engine", ["csr", "incremental"])
+    @pytest.mark.parametrize("engine", ["csr"])
     def test_hop_engine_on_weighted_input_is_a_usage_error(
         self, engine, capsys
     ):

@@ -25,10 +25,9 @@ class TestEngineDispatch:
         assert _resolve_engine(g1, g2, "auto") == "csr"
         # Same result every way; smoke the dispatch paths explicitly.
         auto = delta_histogram(g1, g2, engine="auto")
-        inc = delta_histogram(g1, g2, engine="incremental")
         csr = delta_histogram(g1, g2, engine="csr")
         dict_ = delta_histogram(g1, g2, engine="dict")
-        assert auto == inc == csr == dict_
+        assert auto == csr == dict_
 
     def test_auto_falls_back_for_weighted(self):
         g1 = Graph([(0, 1, 2.0), (1, 2, 2.0)])
@@ -42,17 +41,18 @@ class TestEngineDispatch:
         g1 = Graph([(0, 1), (1, 2)])
         g2 = g1.copy()
         g2.add_edge(0, 2, 0.5)
-        for engine in ("csr", "incremental"):
-            with pytest.raises(ValueError, match="weight"):
-                delta_histogram(g1, g2, engine=engine)
-            with pytest.raises(ValueError, match="weight"):
-                converging_pairs_at_threshold(g1, g2, 1, engine=engine)
-            with pytest.raises(ValueError, match="weight"):
-                top_k_converging_pairs(g1, g2, 1, engine=engine)
+        with pytest.raises(ValueError, match="weight"):
+            delta_histogram(g1, g2, engine="csr")
+        with pytest.raises(ValueError, match="weight"):
+            converging_pairs_at_threshold(g1, g2, 1, engine="csr")
+        with pytest.raises(ValueError, match="weight"):
+            top_k_converging_pairs(g1, g2, 1, engine="csr")
 
     def test_unknown_engine_rejected(self, shortcut_pair):
-        with pytest.raises(ValueError, match="engine"):
-            delta_histogram(*shortcut_pair, engine="gpu")
+        # `incremental` is no longer an engine name.
+        for engine in ("gpu", "incremental"):
+            with pytest.raises(ValueError, match="one of auto/csr/dict"):
+                delta_histogram(*shortcut_pair, engine=engine)
 
     def test_csr_engine_detects_invalid_pairs(self):
         g1 = Graph([(0, 1), (1, 2)])
@@ -72,11 +72,10 @@ class TestExampleEquivalence:
         g1, g2 = random_snapshot_pair(num_nodes=40, num_edges=110, seed=seed)
         reference = delta_histogram(g1, g2, engine="dict")
         assert reference == csr_delta_histogram(g1, g2)
-        assert reference == csr_delta_histogram(g1, g2, incremental=True)
 
     @pytest.mark.parametrize("seed", [125, 126])
     @pytest.mark.parametrize("delta_min", [1, 2])
-    @pytest.mark.parametrize("fast_engine", ["csr", "incremental"])
+    @pytest.mark.parametrize("fast_engine", ["csr"])
     def test_threshold_pairs_identical(self, seed, delta_min, fast_engine):
         g1, g2 = random_snapshot_pair(num_nodes=40, num_edges=110, seed=seed)
         slow = converging_pairs_at_threshold(
@@ -89,7 +88,7 @@ class TestExampleEquivalence:
             (p.u, p.v, p.d1, p.d2) for p in fast
         ]
 
-    @pytest.mark.parametrize("engine", ["auto", "incremental", "csr", "dict"])
+    @pytest.mark.parametrize("engine", ["auto", "csr", "dict"])
     def test_top_k_unchanged_by_engine(self, shortcut_pair, engine):
         g1, g2 = shortcut_pair
         top = top_k_converging_pairs(g1, g2, k=3, engine=engine)
@@ -153,7 +152,6 @@ class TestEquivalenceProperty:
         g1, g2 = pair
         reference = delta_histogram(g1, g2, engine="dict")
         assert reference == delta_histogram(g1, g2, engine="csr")
-        assert reference == delta_histogram(g1, g2, engine="incremental")
 
     @settings(max_examples=50, deadline=None)
     @given(snapshot_pair_strategy(), st.integers(min_value=1, max_value=4))
@@ -170,33 +168,24 @@ class TestEquivalenceProperty:
     def test_histogram_engines_agree_across_blocks(self, pair):
         g1, g2 = pair
         reference = delta_histogram(g1, g2, engine="dict")
-        for engine in ("csr", "incremental"):
-            hist = delta_histogram(g1, g2, engine=engine)
-            assert hist == reference, engine
-            assert all(type(d) is int and type(c) is int
-                       for d, c in hist.items())
+        hist = delta_histogram(g1, g2, engine="csr")
+        assert hist == reference
+        assert all(type(d) is int and type(c) is int for d, c in hist.items())
 
     @settings(max_examples=25, deadline=None)
     @given(block_spanning_pair(), st.integers(min_value=1, max_value=4))
     def test_threshold_engines_agree_across_blocks(self, pair, delta_min):
         g1, g2 = pair
         slow = converging_pairs_at_threshold(g1, g2, delta_min, engine="dict")
-        for engine in ("csr", "incremental"):
-            fast = converging_pairs_at_threshold(
-                g1, g2, delta_min, engine=engine
-            )
-            assert _rows(fast) == _rows(slow), engine
+        fast = converging_pairs_at_threshold(g1, g2, delta_min, engine="csr")
+        assert _rows(fast) == _rows(slow)
 
     @settings(max_examples=25, deadline=None)
     @given(block_spanning_pair(), st.sampled_from([1, 7, 50, 400]))
     def test_top_k_engines_agree_across_blocks(self, pair, k):
         g1, g2 = pair
         slow = top_k_converging_pairs(g1, g2, k, engine="dict")
-        for engine in ("csr", "incremental"):
-            for prune in (False, True):
-                fast = top_k_converging_pairs(
-                    g1, g2, k, engine=engine, prune=prune
-                )
-                assert _rows(fast) == _rows(slow), (engine, prune)
-                assert all(type(p.d1) is int and type(p.d2) is int
-                           for p in fast)
+        for prune in (False, True):
+            fast = top_k_converging_pairs(g1, g2, k, engine="csr", prune=prune)
+            assert _rows(fast) == _rows(slow), prune
+            assert all(type(p.d1) is int and type(p.d2) is int for p in fast)

@@ -192,7 +192,7 @@ class TestTopK:
             (0, 3), (1, 4),                # Δ = 1, tied: repr order
             (100, 103), (101, 104),
         ]
-        for engine in ("incremental", "csr", "dict"):
+        for engine in ("csr", "dict"):
             for prune in (False, True):
                 if prune and engine == "dict":
                     continue

@@ -17,7 +17,6 @@ from conftest import path_graph, random_snapshot_pair, to_networkx
 from repro.core.pairs import (
     ConvergingPair,
     canonical_pair,
-    converging_pairs_at_threshold,
     top_k_converging_pairs,
 )
 from repro.graph.csr import CSRGraph, UNREACHED, bfs_levels
@@ -273,38 +272,17 @@ class TestPrunedEquivalence:
     @given(snapshot_pair(), st.integers(min_value=1, max_value=12))
     def test_top_k_pruned_equals_unpruned_equals_networkx(self, pair, k):
         g1, g2 = pair
-        ref = top_k_converging_pairs(g1, g2, k)
-        assert ref == nx_top_k(g1, g2, k)
-        for engine in ("incremental", "csr"):
-            assert (
-                top_k_converging_pairs(g1, g2, k, engine=engine, prune=True)
-                == ref
-            )
+        expected = nx_top_k(g1, g2, k)
+        for prune in (False, True):
+            assert top_k_converging_pairs(g1, g2, k, prune=prune) == expected
 
     @settings(max_examples=40, deadline=None, suppress_health_check=SUPPRESS)
     @given(tied_snapshot_pair(), st.integers(min_value=1, max_value=10))
     def test_ties_at_the_kth_delta_survive_pruning(self, pair, k):
         g1, g2 = pair
-        ref = top_k_converging_pairs(g1, g2, k)
-        assert ref == nx_top_k(g1, g2, k)
-        for engine in ("incremental", "csr"):
-            assert (
-                top_k_converging_pairs(g1, g2, k, engine=engine, prune=True)
-                == ref
-            )
-
-    @settings(max_examples=40, deadline=None, suppress_health_check=SUPPRESS)
-    @given(snapshot_pair(), st.integers(min_value=1, max_value=4))
-    def test_threshold_collection_pruned_equals_unpruned(self, pair, dmin):
-        g1, g2 = pair
-        ref = converging_pairs_at_threshold(g1, g2, dmin)
-        for engine in ("incremental", "csr"):
-            assert (
-                converging_pairs_at_threshold(
-                    g1, g2, dmin, engine=engine, prune=True
-                )
-                == ref
-            )
+        expected = nx_top_k(g1, g2, k)
+        for prune in (False, True):
+            assert top_k_converging_pairs(g1, g2, k, prune=prune) == expected
 
     def test_disconnected_pairs_never_surface(self):
         # Two t1 components; only one gains a shortcut.  Cross-component
@@ -327,20 +305,12 @@ class TestPrunedEquivalence:
         g2.add_edge(99, 3)
         ref = top_k_converging_pairs(g1, g2, 8)
         assert all(99 not in (p.u, p.v) for p in ref)
-        for engine in ("incremental", "csr"):
-            assert (
-                top_k_converging_pairs(g1, g2, 8, engine=engine, prune=True)
-                == ref
-            )
+        assert top_k_converging_pairs(g1, g2, 8, prune=True) == ref
 
     def test_prune_rejects_dict_engine_and_weighted_graphs(self):
         g1, g2 = random_snapshot_pair(seed=9)
         with pytest.raises(ValueError, match="prune"):
             top_k_converging_pairs(g1, g2, 3, engine="dict", prune=True)
-        with pytest.raises(ValueError, match="prune"):
-            converging_pairs_at_threshold(
-                g1, g2, 1, engine="dict", prune=True
-            )
         w1 = Graph()
         w1.add_edge("a", "b", weight=2.0)
         w2 = w1.copy()

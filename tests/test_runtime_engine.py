@@ -31,8 +31,8 @@ def config():
 def dirty_stream():
     """An insertion stream with deletions sprinkled in: most windows
     past the warm-up delete an edge inserted *before* the window
-    started, so G_t1 is no longer a subgraph of G_t2 and the
-    incremental engine's precondition fails."""
+    started, so G_t1 is no longer a subgraph of G_t2 and the direct
+    attempt's precondition fails."""
     tg = random_temporal_graph(25, 90, seed=4)
     events = list(tg.events())
     out = TemporalGraph()
@@ -70,7 +70,12 @@ class TestAdvancement:
         assert report.consumed == len(stream)
         # 120 events / 12 per window -> 10 full windows.
         assert [w.end - w.start for w in report.windows] == [12] * 10
-        assert all(w.engine == "incremental" for w in report.windows)
+        assert all(w.engine == "csr" for w in report.windows)
+        for window in report.windows:
+            g1, g2 = runtime.window_snapshots(window.index)
+            assert list(window.pairs) == top_k_converging_pairs(
+                g1, g2, config.k, engine="dict"
+            )
 
     def test_partial_final_window(self, tmp_path, config):
         stream = random_temporal_graph(20, 30, seed=5)  # 30 = 2*12 + 6
@@ -276,6 +281,17 @@ class TestRecoveryEdges:
         other = random_temporal_graph(30, 120, seed=99)
         with pytest.raises(RuntimeRecoveryError, match="source"):
             StreamRuntime(other, tmp_path / "wal", config)
+        # Four batches end on a checkpoint: no WAL suffix is left.
+        StreamRuntime(stream, tmp_path / "ckpt", config).run(max_batches=4)
+        rows = [(e.time, e.u, e.v, e.weight) for e in stream.events()]
+        edited = TemporalGraph([(0, rows[0][1], 99, 1.0)] + rows[1:])
+        with pytest.raises(RuntimeRecoveryError, match="source"):
+            StreamRuntime(edited, tmp_path / "ckpt", config)
+        # A source that only grew reopens and advances over the growth.
+        grown = TemporalGraph(rows + [(len(rows), 0, 99, 1.0)])
+        reopened = StreamRuntime(grown, tmp_path / "ckpt", config)
+        assert reopened.consumed == 24
+        assert reopened.run().consumed == len(rows) + 1
 
     def test_lost_checkpoints_after_compaction_are_fatal(
         self, tmp_path, stream, config
@@ -286,6 +302,23 @@ class TestRecoveryEdges:
         runtime.store.clear()
         with pytest.raises(RuntimeRecoveryError, match="checkpoint"):
             StreamRuntime(stream, tmp_path / "wal", config)
+
+    def test_incremental_labels_reopen_as_recorded(
+        self, tmp_path, stream, config
+    ):
+        """Checkpointed ``incremental`` labels stay; new windows say csr."""
+        clean = StreamRuntime(stream, tmp_path / "a", config).run()
+        runtime = StreamRuntime(stream, tmp_path / "b", config)
+        runtime.run(max_batches=4)
+        for key in list(runtime.store.keys()):
+            payload = runtime.store.get(key)
+            for window in payload["windows"]:
+                window["engine"] = "incremental"
+            runtime.store.put(key, payload)
+        report = StreamRuntime(stream, tmp_path / "b", config).run()
+        assert report.render() == clean.render().replace(
+            "engine=csr", "engine=incremental", 2
+        )
 
     def test_recovery_emits_events(self, tmp_path, stream, config):
         StreamRuntime(stream, tmp_path / "wal", config).run(max_batches=3)
