@@ -1,8 +1,9 @@
 """Micro-benchmarks: dict BFS vs the CSR fast path.
 
 Quantifies the accelerator that backs the ground-truth engine: the same
-BFS semantics through the dict adjacency and through the frozen CSR
-view, plus the end-to-end Δ-histogram comparison.
+BFS semantics through the dict adjacency, through the frozen CSR view,
+and through the 64-lane multi-source kernel over every source, plus the
+end-to-end Δ-histogram comparison.
 """
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.core.pairs import delta_histogram
 from repro.datasets import eval_snapshots, load
 from repro.graph.csr import CSRGraph, bfs_levels
+from repro.graph.msbfs import DEFAULT_BATCH, msbfs_levels
 from repro.graph.traversal import bfs_distances
 
 
@@ -34,6 +36,13 @@ def test_bfs_csr_engine(benchmark, snapshots, csr):
     source_idx = 0
     levels = benchmark(bfs_levels, csr, source_idx)
     assert levels[source_idx] == 0
+
+
+def test_msbfs_all_sources(benchmark, csr):
+    sources = range(csr.num_nodes)
+    levels = benchmark(msbfs_levels, csr, sources, DEFAULT_BATCH)
+    assert levels.shape == (csr.num_nodes, csr.num_nodes)
+    assert levels.diagonal().tolist() == [0] * csr.num_nodes
 
 
 def test_delta_histogram_dict_engine(benchmark, snapshots):

@@ -5,9 +5,10 @@ Level rows come in blocks of 64 sources from the multi-source BFS
 :class:`~repro.graph.pair.SnapshotPair`, the t2 block re-indexed onto
 t1's node order.  Row ``i`` owns the pair at column ``j`` when
 ``j > i`` and ``j`` is reachable at t1, so every connected pair is seen
-once, in ``(i, j)`` order, and each collector — :func:`csr_delta_histogram`,
-:func:`csr_pairs_at_threshold`, :func:`csr_top_k_pairs` — takes a few
-numpy operations per block.
+once, in ``(i, j)`` order; a block starting at source ``s`` keeps only
+the columns from ``s`` on, the only ones its rows can own.  Each
+collector — :func:`csr_delta_histogram`, :func:`csr_pairs_at_threshold`,
+:func:`csr_top_k_pairs` — takes a few numpy operations per block.
 
 :func:`csr_top_k_rows` is the older per-source single pass with Δ-aware
 pruning (:mod:`repro.graph.prune`) over
@@ -40,7 +41,8 @@ from repro.graph.prune import (
 
 #: One collected pair: ``(u, v, d1, d2)`` with ``u``'s index below ``v``'s.
 Row = Tuple[object, object, int, int]
-#: One block of rows: first source index, t1 levels, aligned t2 levels.
+#: One block of rows: first source index, then the t1 levels and the
+#: aligned t2 levels of the columns from that index on.
 Block = Tuple[int, np.ndarray, np.ndarray]
 
 
@@ -48,8 +50,9 @@ def _blocks(g1: Graph, g2: Graph) -> Tuple[Sequence[object], Iterator[Block]]:
     """t1 node order plus the level blocks of every t1 source.
 
     Block ``(s, lv1, lv2)`` holds the rows of sources ``s .. s + b − 1``
-    (``b <= 64``): ``lv1`` on ``G_t1`` and ``lv2`` on ``G_t2``, both
-    ``(b, n1)`` ``int32`` arrays in t1's node order.
+    (``b <= 64``) at the t1 nodes ``s .. n1 − 1``: ``lv1`` on ``G_t1``
+    and ``lv2`` on ``G_t2``, both ``(b, n1 − s)`` ``int32`` arrays in
+    t1's node order.  Column ``c`` is node ``s + c``.
     """
     pair = SnapshotPair.from_graphs(g1, g2)
     csr1, csr2, mapping = pair.csr1, pair.csr2, pair.mapping
@@ -65,7 +68,7 @@ def _blocks(g1: Graph, g2: Graph) -> Tuple[Sequence[object], Iterator[Block]]:
             sources = np.arange(start, min(start + DEFAULT_BATCH, n))
             lv1 = msbfs_levels(csr1, sources)
             lv2 = msbfs_levels(csr2, mapping[sources])
-            yield start, lv1, lv2[:, mapping]
+            yield start, lv1[:, start:], lv2[:, mapping[start:]]
 
     return csr1.nodes, blocks()
 
@@ -73,7 +76,8 @@ def _blocks(g1: Graph, g2: Graph) -> Tuple[Sequence[object], Iterator[Block]]:
 def _owned(start: int, lv1: np.ndarray) -> np.ndarray:
     """Cells of a block whose pair its row owns: ``j > i``, reached at t1."""
     rows = np.arange(start, start + lv1.shape[0])[:, None]
-    return (np.arange(lv1.shape[1]) > rows) & (lv1 != UNREACHED)
+    cols = np.arange(start, start + lv1.shape[1])
+    return (cols > rows) & (lv1 != UNREACHED)
 
 
 def _rows_at(
@@ -81,12 +85,12 @@ def _rows_at(
 ) -> List[Row]:
     """The ``hit`` cells of a block as rows, in ``(i, j)`` order."""
     start, lv1, lv2 = block
-    r, j = np.nonzero(hit)
+    r, c = np.nonzero(hit)
     return [
-        (nodes[i], nodes[c], d1, d2)
-        for i, c, d1, d2 in zip(
-            (r + start).tolist(), j.tolist(),
-            lv1[r, j].tolist(), lv2[r, j].tolist(),
+        (nodes[i], nodes[j], d1, d2)
+        for i, j, d1, d2 in zip(
+            (r + start).tolist(), (c + start).tolist(),
+            lv1[r, c].tolist(), lv2[r, c].tolist(),
         )
     ]
 

@@ -8,7 +8,9 @@ actually consume — the same probability ranking of nodes.
 Optimisation uses scipy's L-BFGS-B with the analytic gradient; if scipy
 is unavailable at runtime the fit falls back to plain full-batch gradient
 descent with backtracking, which reaches ranking-equivalent solutions on
-the small feature sets used here.
+the small feature sets used here.  ``scipy.optimize`` is imported by the
+first :meth:`LogisticRegression.fit`, not with this module: ``import
+repro`` loads :mod:`repro.ml`, and most commands never fit a model.
 """
 
 from __future__ import annotations
@@ -16,11 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-
-try:  # scipy is a hard dependency of the package, but degrade gracefully
-    from scipy.optimize import minimize as _scipy_minimize
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_minimize = None
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -116,8 +113,12 @@ class LogisticRegression:
         sw = self._sample_weights(y)
         theta0 = np.zeros(X.shape[1] + 1)
 
-        if _scipy_minimize is not None:
-            res = _scipy_minimize(
+        try:  # scipy is a hard dependency of the package, but degrade gracefully
+            from scipy.optimize import minimize
+        except ImportError:  # pragma: no cover - exercised only without scipy
+            theta = self._gradient_descent(theta0, X, y, sw)
+        else:
+            res = minimize(
                 self._objective,
                 theta0,
                 args=(X, y, sw),
@@ -126,8 +127,6 @@ class LogisticRegression:
                 options={"maxiter": self.max_iter, "gtol": self.tol},
             )
             theta = res.x
-        else:  # pragma: no cover - exercised only without scipy
-            theta = self._gradient_descent(theta0, X, y, sw)
 
         self.coef_ = theta[:-1]
         self.intercept_ = float(theta[-1])

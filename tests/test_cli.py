@@ -19,6 +19,24 @@ def test_parser_leaves_the_lint_analyzer_unloaded():
     assert completed.stdout == "[]\n"
 
 
+def test_scipy_loads_only_when_a_model_is_fit():
+    """`import repro` brings in `repro.ml`, but only a fit imports scipy."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import repro, repro.cli, repro.core.algorithm, repro.runtime, "
+        "repro.service\n"
+        "repro.cli.build_parser()\n"
+        "print('scipy' in sys.modules)\n"
+        "from repro.ml import LogisticRegression\n"
+        "LogisticRegression().fit(np.array([[0.0], [1.0]]), np.array([0, 1]))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    completed = subprocess.run([sys.executable, "-c", code],
+                               capture_output=True, text=True, check=True)
+    assert completed.stdout == "False\nTrue\n"
+
+
 class TestListing:
     def test_datasets(self, capsys):
         assert main(["datasets"]) == 0

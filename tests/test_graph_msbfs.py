@@ -104,6 +104,110 @@ class TestBatchWidthProperty:
             )
 
 
+class TestDeepLevels:
+    """Closed forms on long graphs: levels past 512 fill bit planes 0–9."""
+
+    @staticmethod
+    def _sources(n: int, batch_size: int) -> np.ndarray:
+        # One lane per sweep is slow on long graphs: sample the sources.
+        return np.arange(n) if batch_size > 1 else np.arange(0, n, 50)
+
+    @pytest.mark.parametrize("batch_size", [1, WORD_BITS, 200])
+    def test_path_levels_are_index_gaps(self, batch_size):
+        n = 701
+        csr = CSRGraph.from_graph(path_graph(n))
+        sources = self._sources(n, batch_size)
+        got = msbfs_levels(csr, sources, batch_size=batch_size)
+        gap = np.abs(sources[:, None] - np.arange(n)[None, :])
+        assert got.dtype == np.int32
+        assert int(got.max()) == n - 1
+        assert np.array_equal(got, gap)
+
+    @pytest.mark.parametrize("batch_size", [1, WORD_BITS, 200])
+    def test_cycle_levels_are_the_shorter_arc(self, batch_size):
+        n = 1030
+        csr = CSRGraph.from_graph(cycle_graph(n))
+        sources = self._sources(n, batch_size)
+        got = msbfs_levels(csr, sources, batch_size=batch_size)
+        gap = np.abs(sources[:, None] - np.arange(n)[None, :])
+        assert got.dtype == np.int32
+        assert int(got.max()) == n // 2 > 512
+        assert np.array_equal(got, np.minimum(gap, n - gap))
+
+
+class TestIsolatedNodes:
+    def test_edgeless_graph(self):
+        g = Graph()
+        for i in range(5):
+            g.add_node(i)
+        csr = CSRGraph.from_graph(g)
+        sources = [3, 0, 3]
+        expect = np.full((3, 5), UNREACHED, dtype=np.int32)
+        expect[np.arange(3), sources] = 0
+        assert msbfs_levels(csr, sources).tobytes() == expect.tobytes()
+
+    def test_sources_on_isolated_nodes(self):
+        g = path_graph(6)
+        g.add_node("a")
+        g.add_node("b")
+        csr = CSRGraph.from_graph(g)
+        a, b = csr.index["a"], csr.index["b"]
+        sources = [a, 2, b, a]
+        got = msbfs_levels(csr, sources)
+        assert got.tobytes() == _reference(csr, sources).tobytes()
+        assert (got[0] == UNREACHED).sum() == csr.num_nodes - 1
+
+
+@st.composite
+def _graph_and_sources(draw):
+    """Up to 150 nodes, many isolated, and sources with repeats."""
+    n = draw(st.integers(1, 150))
+    ends = st.integers(0, n - 1)
+    g = Graph()
+    for i in range(n):
+        g.add_node(i)
+    for u, v in draw(st.lists(st.tuples(ends, ends), max_size=2 * n)):
+        if u != v:
+            g.add_edge(u, v)
+    return g, draw(st.lists(ends, min_size=1, max_size=150))
+
+
+class TestAgainstPerSourceBFS:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=_graph_and_sources(),
+        batch_size=st.sampled_from([1, 2, 63, 64, 65, 130]),
+    )
+    def test_rows_match_bfs_levels(self, case, batch_size):
+        g, sources = case
+        csr = CSRGraph.from_graph(g)
+        got = msbfs_levels(csr, sources, batch_size=batch_size)
+        assert got.dtype == np.int32
+        assert got.tobytes() == _reference(csr, sources).tobytes()
+
+
+class TestSymmetricCSR:
+    """Pulling frontier words equals pushing them only on a symmetric CSR."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        num_nodes=st.integers(2, 60),
+        num_edges=st.integers(1, 150),
+        keep=st.floats(0.1, 1.0),
+    )
+    def test_restricted_universe_keeps_both_directions(
+        self, seed, num_nodes, num_edges, keep
+    ):
+        _, g2 = random_snapshot_pair(num_nodes, num_edges, seed=seed)
+        rng = np.random.default_rng(seed)
+        subset = [u for u in g2.nodes() if rng.random() < keep]
+        csr = CSRGraph.from_graph(g2, nodes=subset)
+        owners = np.repeat(np.arange(csr.num_nodes), np.diff(csr.indptr))
+        entries = set(zip(owners.tolist(), csr.indices.tolist()))
+        assert entries == {(j, i) for i, j in entries}
+
+
 class TestRowIterator:
     def test_rows_in_source_order(self):
         g1, _ = random_snapshot_pair(40, 100, seed=2)
