@@ -195,22 +195,35 @@ class TemporalGraph:
 
     def _materialise(self, cut: int) -> Graph:
         self._ensure_sorted()
-        g = Graph()
-        for ev in self._events[:cut]:
-            if ev.is_deletion:
-                # Deletion events remove the edge if present (endpoints
-                # stay, possibly isolated) and never add anything.
-                if g.has_edge(ev.u, ev.v):
-                    g.remove_edge(ev.u, ev.v)
-                continue
-            # Re-insertions of an existing edge are tolerated (real edge
-            # streams contain repeated interactions); the simple graph
-            # keeps one edge and its first weight: a re-insertion never
-            # makes an existing edge heavier, so distances never grow.
-            if not g.has_edge(ev.u, ev.v):
-                g.add_edge(ev.u, ev.v, ev.weight)
-
-        return g
+        return apply_events(
+            Graph(), ((ev.u, ev.v, ev.weight) for ev in self._events[:cut])
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TemporalGraph(events={len(self._events)})"
+
+
+def apply_events(
+    graph: Graph, events: Iterable[Tuple[Node, Node, float]]
+) -> Graph:
+    """Apply ``(u, v, weight)`` events to ``graph`` in order; returns it.
+
+    The stream's one event rule, shared by every snapshot builder:
+    materialising a prefix into an empty graph, or extending a copy of
+    an earlier snapshot by the events after it, gives the same graph,
+    down to node and neighbour order.
+    """
+    for u, v, weight in events:
+        if weight <= 0:
+            # Deletion events remove the edge if present (endpoints
+            # stay, possibly isolated) and never add anything.
+            if graph.has_edge(u, v):
+                graph.remove_edge(u, v)
+        elif not graph.has_edge(u, v):
+            # Re-insertions of an existing edge are tolerated (real
+            # edge streams contain repeated interactions); the simple
+            # graph keeps one edge and its first weight: a re-insertion
+            # never makes an existing edge heavier, so distances never
+            # grow.
+            graph.add_edge(u, v, weight)
+    return graph

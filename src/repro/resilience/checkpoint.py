@@ -111,7 +111,9 @@ class CheckpointStore:
         path = self._path(key)
         tmp = path.with_suffix(".tmp")
         with tmp.open("w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True)
+            # One ``dumps`` runs the C encoder; ``json.dump`` would write
+            # the same bytes chunk by chunk from the pure-Python one.
+            fh.write(json.dumps(record, sort_keys=True))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -18,6 +18,12 @@ always-on service loop over a sanitized edge stream:
    (:class:`~repro.resilience.checkpoint.CheckpointStore`) and WAL
    compaction, so recovery cost stays bounded.
 
+A window costs what its events cost: the newest closed window's
+snapshots are kept, its ``G_t2`` is the next window's ``G_t1``, and the
+next ``G_t2`` is a copy of it extended by the window's events.  A
+checkpoint records a running SHA-256 of the applied events, not the
+events themselves.
+
 **Recovery is the constructor**: opening a runtime on an existing
 ``--wal-dir`` loads the newest usable checkpoint and replays the WAL
 suffix through the same window code path, which makes a killed-and-
@@ -35,14 +41,17 @@ instead of dying to the OOM killer.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.algorithm import find_top_k_converging_pairs
 from repro.core.pairs import ConvergingPair, top_k_converging_pairs
-from repro.graph.dynamic import TemporalGraph
+from repro.graph.dynamic import TemporalGraph, apply_events
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 from repro.graph.validation import GraphValidationError, repair_snapshot_pair
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.events import log_event
@@ -56,10 +65,13 @@ from repro.selection import get_selector
 
 PathLike = Union[str, Path]
 
-RUNTIME_SCHEMA_VERSION = 1
+RUNTIME_SCHEMA_VERSION = 2
 
-#: One event as stored in WAL/checkpoint payloads.
+#: One event as stored in WAL payloads: ``[time, u, v, weight]``.
 EventRow = List[Any]
+
+#: An event row's canonical JSON, one line of the ``events_sha256`` digest.
+_ROW_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 #: Called after every window close: ``(state_version, window)``.  The
 #: always-on service registers one to invalidate its version-keyed
@@ -185,10 +197,25 @@ class RuntimeReport:
 
 def _materialise(rows: Sequence[EventRow]) -> Graph:
     """The graph aggregating ``rows`` (same semantics as TemporalGraph)."""
-    temporal = TemporalGraph()
-    for row in rows:
-        temporal.add_edge(row[0], row[1], row[2], row[3])
-    return temporal.snapshot()
+    return _extend(Graph(), rows)
+
+
+def _extend(graph: Graph, rows: Sequence[EventRow]) -> Graph:
+    """``graph`` with ``rows`` applied in place, by the stream's event rule."""
+    return apply_events(graph, ((row[1], row[2], row[3]) for row in rows))
+
+
+@dataclass
+class _KeptWindow:
+    """The newest closed window's snapshots, and its pair once read.
+
+    Shared, never mutated: the next window's ``G_t2`` is built on a copy.
+    """
+
+    index: int
+    g1: Graph
+    g2: Graph
+    pair: Optional[SnapshotPair] = None
 
 
 class StreamRuntime:
@@ -272,7 +299,9 @@ class StreamRuntime:
             [ev.time, ev.u, ev.v, ev.weight] for ev in source.events()
         ]
         self.consumed = 0
+        self._events_digest = hashlib.sha256()
         self.windows: List[WindowResult] = []
+        self._kept: Optional[_KeptWindow] = None
         self.state_version = 0
         self._window_start = 0
         self._applied_seq = 0
@@ -309,16 +338,27 @@ class StreamRuntime:
                 )
         else:
             payload = self.store.get(self._state_key(best))
-            if (
-                not isinstance(payload, dict)
-                or payload.get("schema") != RUNTIME_SCHEMA_VERSION
-            ):
+            schema = (
+                payload.get("schema") if isinstance(payload, dict) else None
+            )
+            if schema not in (1, RUNTIME_SCHEMA_VERSION):
                 raise RuntimeRecoveryError(
                     f"{self.directory}: checkpoint at sequence {best} is "
                     "unreadable or schema-mismatched"
                 )
             self.consumed = int(payload["consumed"])
-            if payload["events"] != self._source_rows[:self.consumed]:
+            prefix = self._source_rows[:self.consumed]
+            self._digest_rows(prefix)
+            if schema == 1:
+                # Schema 1 stored every applied event; the next
+                # checkpoint is written as schema 2.
+                matches = payload["events"] == prefix
+            else:
+                matches = (
+                    payload["events_sha256"]
+                    == self._events_digest.hexdigest()
+                )
+            if not matches:
                 raise RuntimeRecoveryError(
                     f"{self.directory}: checkpoint at sequence {best} does "
                     "not match the source stream — the input changed"
@@ -454,6 +494,11 @@ class StreamRuntime:
         return report
 
     def _apply_batch(self, batch: Sequence[EventRow], seq: int) -> None:
+        # ``batch`` equals the source rows here (a replayed one was
+        # verified against them); the digest is taken over the source.
+        self._digest_rows(
+            self._source_rows[self.consumed:self.consumed + len(batch)]
+        )
         self.consumed += len(batch)
         self._applied_seq = seq
         while self.consumed - self._window_start >= self.config.window_events:
@@ -482,21 +527,49 @@ class StreamRuntime:
     def window_snapshots(self, index: int) -> Tuple[Graph, Graph]:
         """The ``(G_t1, G_t2)`` snapshot pair of closed window ``index``.
 
-        Materialised from the applied prefix of the source, which
-        recovery checks, so the pair is a pure function of checkpointed
-        state — two runtimes at the same state version return identical
-        snapshots.
+        The newest window's pair is the kept one (materialised and kept
+        on a miss, as after recovery); older windows are materialised
+        from the applied prefix of the source.  Either way the pair is a
+        pure function of checkpointed state — two runtimes at the same
+        state version return equal snapshots.  The graphs are shared
+        with the runtime: read them, never mutate them.
         """
         if not 0 <= index < len(self.windows):
             raise IndexError(
                 f"window {index} does not exist "
                 f"({len(self.windows)} closed)"
             )
+        kept = self._kept
+        if kept is not None and kept.index == index:
+            return kept.g1, kept.g2
         window = self.windows[index]
-        return (
-            _materialise(self._source_rows[:window.start]),
-            _materialise(self._source_rows[:window.end]),
-        )
+        g1 = _materialise(self._source_rows[:window.start])
+        g2 = _extend(g1.copy(), self._source_rows[window.start:window.end])
+        if index == len(self.windows) - 1:
+            self._kept = _KeptWindow(index, g1, g2)
+        return g1, g2
+
+    def latest_pair(self) -> SnapshotPair:
+        """The :class:`SnapshotPair` of the newest closed window.
+
+        Over its ``G_t1`` and its ``G_t2`` projected onto the nearest
+        valid superset of ``G_t1`` (:func:`repair_snapshot_pair`; the
+        kept ``G_t2`` itself when nothing needed repair).  Built on the
+        window's first read and kept with its snapshots, so every read
+        at one state version shares one pair; ``IndexError`` before the
+        first window closes.
+        """
+        index = len(self.windows) - 1
+        if index < 0:
+            raise IndexError("no window has closed yet")
+        kept = self._kept
+        if kept is not None and kept.index == index and kept.pair is not None:
+            return kept.pair
+        g1, g2 = self.window_snapshots(index)
+        repaired, repair = repair_snapshot_pair(g1, g2)
+        pair = SnapshotPair.from_graphs(g1, g2 if repair.clean else repaired)
+        self._kept = _KeptWindow(index, g1, g2, pair)
+        return pair
 
     # ------------------------------------------------------------------
     # Windows
@@ -504,8 +577,12 @@ class StreamRuntime:
     def _close_window(self, end: int) -> None:
         index = len(self.windows)
         start = self._window_start
-        g1 = _materialise(self._source_rows[:start])
-        g2 = _materialise(self._source_rows[:end])
+        kept = self._kept
+        if kept is not None and self.windows[kept.index].end == start:
+            g1 = kept.g2
+        else:
+            g1 = _materialise(self._source_rows[:start])
+        g2 = _extend(g1.copy(), self._source_rows[start:end])
         # The breaker is consulted exactly once per window, outside the
         # supervised attempt, so restarts cannot skew its schedule.
         try_direct = self.breaker.allow()
@@ -523,6 +600,7 @@ class StreamRuntime:
             engine=engine, pairs=tuple(pairs),
         )
         self.windows.append(window)
+        self._kept = _KeptWindow(index, g1, g2)
         self._window_start = end
         self.state_version += 1
         log_event(
@@ -625,7 +703,7 @@ class StreamRuntime:
             "seq": seq,
             "consumed": self.consumed,
             "version": self.state_version,
-            "events": self._source_rows[:self.consumed],
+            "events_sha256": self._events_digest.hexdigest(),
             "windows": [w.to_payload() for w in self.windows],
             "breaker": self.breaker.to_payload(),
         }
@@ -637,6 +715,12 @@ class StreamRuntime:
         self.wal.compact(seq)
         self._checkpoint_seq = seq
         log_event("runtime.checkpoint", seq=seq, consumed=self.consumed)
+
+    def _digest_rows(self, rows: Sequence[EventRow]) -> None:
+        """Extend ``events_sha256`` by ``rows``, one canonical JSON line each."""
+        self._events_digest.update(
+            "".join(_ROW_JSON.encode(row) + "\n" for row in rows).encode()
+        )
 
 
 def _no_chaos(point: str) -> None:

@@ -21,18 +21,20 @@ Two data verbs:
     :class:`~repro.graph.pair.SnapshotPair` rows Algorithm 1 uses (one
     row per snapshot — 2 SSSPs, charged to an
     :class:`~repro.core.budget.SPBudget` like every other traversal in
-    the system; Dijkstra distances on weighted windows).
+    the system; Dijkstra distances on weighted windows).  Every read of
+    one window shares the runtime's one pair for it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.core.budget import SPBudget
 from repro.core.pairs import ConvergingPair, Node, Pair
 from repro.graph.csr import UNREACHED
-from repro.graph.pair import SnapshotPair, pair_rows
-from repro.graph.validation import repair_snapshot_pair
+from repro.graph.pair import pair_rows
 from repro.runtime.engine import StreamRuntime
 from repro.service.protocol import (
     E_BAD_REQUEST,
@@ -127,10 +129,10 @@ def node_answer(
     """Top-k partners converging toward ``u`` on the latest window.
 
     Computes Δ(u, ·) fresh from the latest closed window's snapshot
-    pair: one distance row per snapshot.  The later snapshot is first
-    projected onto the nearest valid superset of the earlier one (a
-    no-op copy for well-formed windows), so the answer stays
-    deterministic whatever the stream did.
+    pair (:meth:`StreamRuntime.latest_pair`, shared by every read of
+    the window): one distance row per snapshot.  The later snapshot is
+    projected onto the nearest valid superset of the earlier one, so
+    the answer stays deterministic whatever the stream did.
     """
     if k is None:
         k = runtime.config.k
@@ -147,35 +149,33 @@ def node_answer(
     empty["window"] = {
         "index": window.index, "start": window.start, "end": window.end,
     }
-    g1, g2 = runtime.window_snapshots(window.index)
-    g2_safe, _repair = repair_snapshot_pair(g1, g2)
-    pair = SnapshotPair.from_graphs(g1, g2_safe)
-    source_idx = pair.index.get(u)
-    if source_idx is None:
+    pair = runtime.latest_pair()
+    if u not in pair.index:
         return empty
     # One row per snapshot = the pair's two SSSPs; charged like every
     # traversal outside the engine (docs/budget-model.md).
     budget = SPBudget(limit=2)
     budget.charge("service", "g1", 1)
     budget.charge("service", "g2", 1)
-    row1 = pair_rows(pair, [u], "g1")[0].tolist()
-    row2 = pair_rows(pair, [u], "g2")[0].tolist()
-    partners: List[ConvergingPair] = []
-    for idx, node in enumerate(pair.nodes):
-        d1, d2 = row1[idx], row2[idx]
-        if idx == source_idx or d1 == UNREACHED:
-            continue
-        if d2 == UNREACHED or d1 - d2 <= 0:
-            continue
-        partners.append(ConvergingPair(u, node, float(d1), float(d2)))
-    partners.sort(key=lambda p: (-p.delta, repr(p.v)))
+    row1 = pair_rows(pair, [u], "g1")[0]
+    row2 = pair_rows(pair, [u], "g2")[0]
+    # ``u`` itself is at 0 on both rows, so the mask never picks it.
+    at = np.flatnonzero(
+        (row1 != UNREACHED) & (row2 != UNREACHED) & (row1 - row2 > 0)
+    )
+    # Distances are answered as floats, hop counts too (7.0, not 7).
+    partners: List[List[Any]] = [
+        [pair.nodes[i], float(d1), float(d2), float(d1) - float(d2)]
+        for i, d1, d2 in zip(
+            at.tolist(), row1[at].tolist(), row2[at].tolist()
+        )
+    ]
+    partners.sort(key=lambda row: (-row[3], repr(row[0])))
     return {
         "u": u,
         "k": k,
         "present": True,
         "window": empty["window"],
         "sssp": budget.spent,
-        "partners": [
-            [p.v, p.d1, p.d2, p.delta] for p in partners[:k]
-        ],
+        "partners": partners[:k],
     }

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.resilience import SCHEMA_VERSION, CheckpointStore, capture_events
-from repro.resilience.checkpoint import restore_list
+from repro.resilience.checkpoint import _checksum, restore_list
 
 
 @pytest.fixture
@@ -71,6 +71,20 @@ class TestAtomicity:
         record = json.loads(path.read_text())
         assert record["schema"] == SCHEMA_VERSION
         assert set(record) == {"schema", "key", "checksum", "value"}
+
+    def test_file_bytes_are_one_sorted_dumps_of_the_record(self, store):
+        key = ("runtime", "state", 7)
+        value = {"b": [1, 2.5, "x"], "a": {"z": None, "y": [True, -3]}}
+        path = store.put(key, value)
+        record = {
+            "schema": SCHEMA_VERSION,
+            "key": ["runtime", "state", 7],
+            "checksum": _checksum(value),
+            "value": value,
+        }
+        assert path.read_bytes() == json.dumps(
+            record, sort_keys=True
+        ).encode("utf-8")
 
 
 class TestDurability:

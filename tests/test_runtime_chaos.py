@@ -13,7 +13,9 @@ see ``repro.cli``), so no timing races: the nth traversal of the
 injection point dies exactly there, torn state and all.
 """
 
+import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -46,7 +48,7 @@ def stream_file(tmp_path_factory):
     return path
 
 
-def advance(stream_file, wal_dir, *, kill_at=None):
+def advance(stream_file, wal_dir, *, kill_at=None, flags=ADVANCE_FLAGS):
     """Run ``repro advance`` in a subprocess; optionally arm the killer."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
@@ -56,7 +58,7 @@ def advance(stream_file, wal_dir, *, kill_at=None):
         env["REPRO_CHAOS_KILL"] = kill_at
     cmd = [
         sys.executable, "-m", "repro", "advance", str(stream_file),
-        "--wal-dir", str(wal_dir), *ADVANCE_FLAGS,
+        "--wal-dir", str(wal_dir), *flags,
     ]
     return subprocess.run(
         cmd, capture_output=True, text=True, env=env, timeout=120
@@ -133,6 +135,30 @@ class TestKillNine:
         again = advance(stream_file, wal_dir)
         assert again.returncode == 0, again.stderr
         assert again.stdout == baseline
+
+
+class TestSchemaUpgrade:
+    def test_kill_mid_first_schema_2_checkpoint_recovers(self, tmp_path):
+        """SIGKILL while the first schema-2 record is written over a
+        schema-1 directory: the store holds both schemas, and recovery
+        still prints what an uninterrupted run prints."""
+        data = Path(__file__).resolve().parent / "data" / "runtime_v1"
+        flags = json.loads((data / "expected.json").read_text())["flags"]
+        wal_dir = tmp_path / "wal"
+        shutil.copytree(data / "wal", wal_dir)
+        stream = data / "stream.tsv"
+        crashed = advance(
+            stream, wal_dir, kill_at="checkpoint.mid:1", flags=flags
+        )
+        assert_killed(crashed)
+        schemas = sorted(
+            json.loads(path.read_text())["value"]["schema"]
+            for path in (wal_dir / "checkpoints").glob("*.json")
+        )
+        assert schemas == [1, 2]
+        recovered = advance(stream, wal_dir, flags=flags)
+        assert recovered.returncode == 0, recovered.stderr
+        assert recovered.stdout == (data / "advance.txt").read_text()
 
 
 class TestChaosEnvValidation:

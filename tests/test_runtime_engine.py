@@ -1,6 +1,11 @@
 """StreamRuntime: windows, recovery, degradation, shedding."""
 
+import json
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pairs import top_k_converging_pairs
 from repro.datasets.catalog import internet_weighted
@@ -14,6 +19,7 @@ from repro.runtime import (
     StreamRuntime,
     SupervisorGivingUp,
 )
+from repro.runtime.engine import _materialise
 
 from conftest import random_temporal_graph
 
@@ -434,3 +440,124 @@ class TestStateVersion:
         resumed.run()
         assert resumed.state_version > before
         assert resumed.state_version == len(resumed.windows)
+
+
+def adjacency_in_order(graph):
+    """Nodes, each with its neighbours and weights, in storage order."""
+    return [(u, list(graph.adjacency(u).items())) for u in graph.nodes()]
+
+
+def assert_same_graph(got, want):
+    assert adjacency_in_order(got) == adjacency_in_order(want)
+    assert got.is_weighted() == want.is_weighted()
+
+
+#: Unsanitised rows over 8 nodes: repeated pairs re-insert an edge,
+#: weight <= 0 deletes it, and a few weights are not 1.
+dirty_rows = st.lists(
+    st.tuples(
+        st.integers(0, 7), st.integers(0, 7),
+        st.sampled_from([1.0, 1.0, 1.0, 1.0, 2.0, 0.5, 0.0, -1.0]),
+    ).filter(lambda row: row[0] != row[1]),
+    min_size=12, max_size=80,
+)
+
+
+class TestKeptSnapshots:
+    """The kept snapshots a window close carries forward equal a rebuild
+    of the window's prefix, and nothing mutates them afterwards."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=dirty_rows,
+        batch_size=st.integers(1, 4),
+        checkpoint_every=st.integers(1, 3),
+        reopen_after=st.integers(1, 8),
+    )
+    def test_kept_snapshots_equal_a_rebuild(
+        self, rows, batch_size, checkpoint_every, reopen_after
+    ):
+        stream = TemporalGraph(
+            [(t, u, v, w) for t, (u, v, w) in enumerate(rows)]
+        )
+        source_rows = [[e.time, e.u, e.v, e.weight] for e in stream.events()]
+        config = RuntimeConfig(
+            k=3, batch_size=batch_size, checkpoint_every=checkpoint_every
+        )
+        returned = []
+
+        def check_latest(runtime):
+            window = runtime.latest_window()
+            if window is None:
+                return
+            g1, g2 = runtime.window_snapshots(window.index)
+            assert_same_graph(g1, _materialise(source_rows[:window.start]))
+            assert_same_graph(g2, _materialise(source_rows[:window.end]))
+            pair = runtime.latest_pair()
+            assert pair.g1 is g1
+            returned.append((window.index, g1, g2, g1.copy(), g2.copy()))
+            # An older window read in between must not displace the
+            # kept one the next close builds on.
+            older = runtime.windows[window.index // 2]
+            o1, o2 = runtime.window_snapshots(older.index)
+            assert_same_graph(o1, _materialise(source_rows[:older.start]))
+            assert_same_graph(o2, _materialise(source_rows[:older.end]))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            runtime = StreamRuntime(stream, tmp, config, fsync=False)
+            batches = 0
+            while True:
+                closed = len(runtime.windows)
+                status = runtime.run(max_batches=1).status
+                batches += 1
+                if len(runtime.windows) != closed:
+                    check_latest(runtime)
+                if batches == reopen_after:
+                    runtime = StreamRuntime(stream, tmp, config, fsync=False)
+                    check_latest(runtime)
+                if status == "complete":
+                    break
+            assert runtime.consumed == len(source_rows)
+            for index, g1, g2, copy1, copy2 in returned:
+                assert_same_graph(g1, copy1)
+                assert_same_graph(g2, copy2)
+                again1, again2 = runtime.window_snapshots(index)
+                assert_same_graph(again1, copy1)
+                assert_same_graph(again2, copy2)
+
+
+class TestCheckpointRecord:
+    """Counts, not time: a checkpoint holds O(window) bytes plus the
+    window results, however many events the stream has applied."""
+
+    def test_record_does_not_grow_with_consumed_events(self, tmp_path):
+        stream = random_temporal_graph(400, 2000, seed=3)
+        assert len(stream) == 2000
+        runtime = StreamRuntime(
+            stream, tmp_path / "wal",
+            RuntimeConfig(k=5, batch_size=8, checkpoint_every=4),
+            fsync=False,
+        )
+        real_put = runtime.store.put
+        residues = []
+
+        def put(key, value):
+            path = real_put(key, value)
+            assert set(value) == {
+                "schema", "seq", "consumed", "version", "events_sha256",
+                "windows", "breaker",
+            }
+            windows = json.dumps(value["windows"], sort_keys=True)
+            residues.append(
+                (value["consumed"], path.stat().st_size - len(windows))
+            )
+            return path
+
+        runtime.store.put = put
+        runtime.run()
+        assert [c for c, _ in residues][-1] == 2000
+        assert len(residues) == 63
+        sizes = [size for _, size in residues]
+        # Only the digits of seq, consumed and version (and of the key's
+        # seq) may grow: 2000 events as JSON rows would add ~40 KB.
+        assert max(sizes) - min(sizes) <= 12

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.pairs import pair_delta
 from repro.datasets.catalog import internet_weighted
+from repro.graph.dynamic import TemporalGraph
+from repro.graph.pair import SnapshotPair
 from repro.graph.traversal import single_source_distances
+from repro.graph.validation import repair_snapshot_pair
 from repro.runtime import RuntimeConfig, StreamRuntime
 from repro.service.answers import (
     compute_answer,
@@ -147,6 +150,64 @@ class TestNode:
         assert answer == {
             "u": 0, "k": 3, "present": False, "window": None, "partners": [],
         }
+
+
+class TestSharedPair:
+    """Counts, not time: every ``node`` read of one window shares one
+    :class:`SnapshotPair`."""
+
+    def test_reads_at_one_version_build_one_pair(self, tmp_path, monkeypatch):
+        runtime = StreamRuntime(
+            random_temporal_graph(30, 120, seed=11), tmp_path / "wal",
+            RuntimeConfig(k=5, batch_size=6, checkpoint_every=2),
+        )
+        runtime.run(max_batches=4)
+        built = []
+        from_graphs = SnapshotPair.from_graphs.__func__
+
+        def counting(cls, g1, g2):
+            built.append(runtime.state_version)
+            return from_graphs(cls, g1, g2)
+
+        monkeypatch.setattr(SnapshotPair, "from_graphs", classmethod(counting))
+        g1, _ = runtime.window_snapshots(runtime.windows[-1].index)
+        nodes = list(g1.nodes())[:12]
+        first = [node_answer(runtime, u) for u in nodes]
+        assert [node_answer(runtime, u) for u in nodes] == first
+        assert built == [2]
+        runtime.run(max_batches=2)  # closes the third window
+        built.clear()  # the window's own top-k built a pair too
+        node_answer(runtime, nodes[0])
+        node_answer(runtime, nodes[1])
+        assert built == [3]
+
+    def test_partners_on_a_repaired_window_match_dijkstra(self, tmp_path):
+        """A stream that deletes edges: the shared pair holds the
+        repaired G_t2, and every node's partners match SSSP on it."""
+        rows = [
+            (e.time, e.u, e.v, e.weight)
+            for e in random_temporal_graph(20, 60, seed=4).events()
+        ]
+        rows += [(60 + i, u, v, -1.0) for i, (_, u, v, _) in enumerate(rows[:4])]
+        runtime = StreamRuntime(
+            TemporalGraph(rows), tmp_path / "wal",
+            RuntimeConfig(k=5, batch_size=4, checkpoint_every=4),
+        )
+        runtime.run()
+        g1, g2 = runtime.window_snapshots(runtime.windows[-1].index)
+        repaired, repair = repair_snapshot_pair(g1, g2)
+        assert not repair.clean
+        for u in g1.nodes():
+            dist1 = single_source_distances(g1, u)
+            dist2 = single_source_distances(repaired, u)
+            expected = sorted(
+                ([v, float(d1), float(dist2[v]), float(d1 - dist2[v])]
+                 for v, d1 in dist1.items()
+                 if v != u and d1 - dist2[v] > 0),
+                key=lambda row: (-row[3], repr(row[0])),
+            )
+            answer = node_answer(runtime, u, k=len(g1))
+            assert answer["partners"] == expected
 
 
 class TestComputeAnswer:
