@@ -3,7 +3,9 @@
 Quantifies the accelerator that backs the ground-truth engine: the same
 BFS semantics through the dict adjacency, through the frozen CSR view,
 and through the 64-lane multi-source kernel over every source, plus the
-end-to-end Δ-histogram comparison.
+end-to-end Δ-histogram comparison.  The CSR build of each snapshot and
+the pair's validation are the uncharged work every Algorithm 1 query
+pays before its first traversal.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from repro.datasets import eval_snapshots, load
 from repro.graph.csr import CSRGraph, bfs_levels
 from repro.graph.msbfs import DEFAULT_BATCH, msbfs_levels
 from repro.graph.traversal import bfs_distances
+from repro.graph.validation import check_snapshot_pair
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +39,19 @@ def test_bfs_csr_engine(benchmark, snapshots, csr):
     source_idx = 0
     levels = benchmark(bfs_levels, csr, source_idx)
     assert levels[source_idx] == 0
+
+
+@pytest.mark.parametrize("snapshot", [0, 1], ids=["g1", "g2"])
+def test_csr_from_graph(benchmark, snapshots, snapshot):
+    graph = snapshots[snapshot]
+    csr = benchmark(CSRGraph.from_graph, graph)
+    assert csr.num_nodes == graph.num_nodes
+    assert csr.num_edges == graph.num_edges
+
+
+def test_check_snapshot_pair(benchmark, snapshots):
+    g1, g2 = snapshots
+    assert benchmark(check_snapshot_pair, g1, g2) is None
 
 
 def test_msbfs_all_sources(benchmark, csr):

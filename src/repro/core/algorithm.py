@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Dict, Hashable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING,
+    Dict, Hashable, List, Optional, Sequence, TYPE_CHECKING,
 )
 
 import numpy as np
@@ -181,6 +181,26 @@ def _score_candidates_dict(
     return scored
 
 
+def _level_matrix(
+    candidates: Sequence[Node], cached: Dict[Node, np.ndarray],
+    fresh: Optional[np.ndarray], n: int,
+) -> np.ndarray:
+    """``(len(candidates), n)`` levels, one row per candidate: its cached
+    selector row, else the next row of ``fresh`` (the block computed for
+    the uncached candidates, in candidate order)."""
+    dtype = np.result_type(
+        np.int32, *(cached[c].dtype for c in candidates if c in cached)
+    )
+    levels = np.empty((len(candidates), n), dtype=dtype)
+    at = [p for p, c in enumerate(candidates) if c not in cached]
+    if fresh is not None:
+        levels[at] = fresh
+    for p, c in enumerate(candidates):
+        if c in cached:
+            levels[p] = cached[c]
+    return levels
+
+
 def _score_candidates_csr(
     pair: SnapshotPair, candidates: Sequence[Node],
     result: "SelectionResult", budget: SPBudget, k: int = 0,
@@ -188,23 +208,22 @@ def _score_candidates_csr(
     """Vectorised scoring path for unweighted snapshots.
 
     Every row — cached by the selector or freshly charged — is a level
-    array in ``G_t1``'s node order, and each candidate's Δ vector is a
-    single numpy subtraction.  Charges come first: a missing row is
-    charged to ``topk`` on its snapshot, one record per row in candidate
-    order (g1 before g2), exactly as the dict path charges; a cached row
-    is free.  Then one :func:`~repro.graph.pair.pair_rows` block computes
-    every fresh t1 row and one every fresh t2 row.
+    array in ``G_t1``'s node order.  Charges come first: a missing row
+    is charged to ``topk`` on its snapshot, one record per row in
+    candidate order (g1 before g2), exactly as the dict path charges; a
+    cached row is free.  Then one :func:`~repro.graph.pair.pair_rows`
+    block computes every fresh t1 row and one every fresh t2 row, and
+    each snapshot's rows fill one ``(c, n1)`` level matrix.
 
-    Each candidate's positive-Δ hits stay numpy arrays; a pair of two
-    candidates keeps the sighting of whichever comes first, exactly as
-    the dict path does.  The returned map then holds only the pairs
-    whose Δ reaches the ``k``-th largest over all scored pairs (every
-    pair for ``k=0``), in candidate-then-index order.  Every dropped
-    pair sorts after all of them, so the caller's stable ``sort_key``
-    sort and ``[:k]`` return the same list, ties at the k-th Δ
-    included.
+    One pass over the two matrices marks every positive-Δ pair reached
+    at t1.  A pair of two candidates is met from both endpoints; the
+    sighting of whichever candidate comes first is kept, exactly as the
+    dict path does.  The returned map then holds only the pairs whose Δ
+    reaches the ``k``-th largest over all scored pairs (every pair for
+    ``k=0``), in candidate-then-index order.  Every dropped pair sorts
+    after all of them, so the caller's stable ``sort_key`` sort and
+    ``[:k]`` return the same list, ties at the k-th Δ included.
     """
-    index, nodes, n = pair.index, pair.nodes, len(pair.nodes)
     fresh1 = [c for c in candidates if c not in result.d1_rows]
     fresh2 = [c for c in candidates if c not in result.d2_rows]
     for c in candidates:
@@ -212,54 +231,35 @@ def _score_candidates_csr(
             budget.charge("topk", "g1", 1)
         if c not in result.d2_rows:
             budget.charge("topk", "g2", 1)
-    rows1 = list(pair_rows(pair, fresh1, "g1")) if fresh1 else []
-    rows2 = list(pair_rows(pair, fresh2, "g2")) if fresh2 else []
-    levels1 = {**dict(zip(fresh1, rows1)), **result.d1_rows}
-    levels2 = {**dict(zip(fresh2, rows2)), **result.d2_rows}
+    n = len(pair.nodes)
+    lv1 = _level_matrix(candidates, result.d1_rows,
+                        pair_rows(pair, fresh1, "g1") if fresh1 else None, n)
+    lv2 = _level_matrix(candidates, result.d2_rows,
+                        pair_rows(pair, fresh2, "g2") if fresh2 else None, n)
 
-    is_candidate = np.zeros(n, dtype=bool)
-    is_candidate[[index[c] for c in candidates]] = True
-    # (i, j): candidate i scored its pair with candidate j, so j's later
-    # sighting of the same pair is a duplicate.
-    seen: Set[Tuple[int, int]] = set()
-    targets: List[np.ndarray] = []
-    firsts: List[np.ndarray] = []
-    seconds: List[np.ndarray] = []
-    for c in candidates:
-        i = index[c]
-        lv1, lv2 = levels1[c], levels2[c]
-        reached = lv1 != UNREACHED
-        reached[i] = False
-        hits = np.flatnonzero(reached & (lv1 - lv2 > 0))
-        repeats: List[int] = []
-        for j in hits[is_candidate[hits]].tolist():
-            if (j, i) in seen:
-                repeats.append(j)
-            else:
-                seen.add((i, j))
-        if repeats:
-            hits = hits[~np.isin(hits, repeats)]
-        targets.append(hits)
-        firsts.append(lv1[hits])
-        seconds.append(lv2[hits])
-
-    if not targets:
-        return {}
-    owner = np.repeat(np.arange(len(targets)), [t.size for t in targets])
-    target = np.concatenate(targets)
-    d1 = np.concatenate(firsts)
-    d2 = np.concatenate(seconds)
+    col = np.fromiter(
+        map(pair.index.__getitem__, candidates), np.int64, len(candidates)
+    )
+    hit = (lv1 != UNREACHED) & (lv1 - lv2 > 0)
+    hit[np.arange(col.size), col] = False
+    # mutual[p, q]: candidate p hit candidate q.  Candidate p drops its
+    # sighting of an earlier candidate q (q < p) that hit p first.
+    mutual = hit[:, col]
+    hit[:, col] = mutual & ~np.tril(mutual.T, -1)
+    owner, target = np.nonzero(hit)
+    d1 = lv1[owner, target]
+    d2 = lv2[owner, target]
     # A pair under the k-th largest Δ sorts after all k pairs the caller
     # keeps, so only pairs at or above it become objects.
-    keep = np.arange(target.size)
     if 0 < k < target.size:
         deltas = d1 - d2
         kth = np.partition(deltas, target.size - k)[target.size - k]
         keep = np.flatnonzero(deltas >= kth)
+        owner, target, d1, d2 = owner[keep], target[keep], d1[keep], d2[keep]
+    nodes = pair.nodes
     scored: Dict[tuple, ConvergingPair] = {}
     for p, j, x1, x2 in zip(
-        owner[keep].tolist(), target[keep].tolist(),
-        d1[keep].tolist(), d2[keep].tolist(),
+        owner.tolist(), target.tolist(), d1.tolist(), d2.tolist(),
     ):
         key = canonical_pair(candidates[p], nodes[j])
         scored[key] = ConvergingPair(key[0], key[1], x1, x2)

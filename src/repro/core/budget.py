@@ -16,7 +16,7 @@ assert that measured costs equal Table 1's formulas exactly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 
@@ -24,9 +24,13 @@ class BudgetExceededError(RuntimeError):
     """Raised when a charge would push spending past the SSSP budget."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChargeRecord:
-    """One ledger entry: ``count`` SSSPs on ``snapshot`` during ``phase``."""
+    """One ledger entry: ``count`` SSSPs on ``snapshot`` during ``phase``.
+
+    Immutable, so a budget records each distinct entry once and its
+    ledger repeats references to it.
+    """
 
     phase: str
     snapshot: str
@@ -62,6 +66,8 @@ class SPBudget:
             raise ValueError(f"budget limit must be non-negative, got {limit}")
         self.limit = limit
         self._ledger: List[ChargeRecord] = []
+        # One shared record per distinct (phase, snapshot, count).
+        self._records: Dict[Tuple[str, str, int], ChargeRecord] = {}
         self._spent = 0
 
     # ------------------------------------------------------------------
@@ -110,7 +116,11 @@ class SPBudget:
                 f"charging {count} SSSP(s) in phase {phase!r} would spend "
                 f"{self._spent + count} > limit {self.limit}"
             )
-        self._ledger.append(ChargeRecord(phase=phase, snapshot=snapshot, count=count))
+        key = (phase, snapshot, count)
+        record = self._records.get(key)
+        if record is None:
+            record = self._records[key] = ChargeRecord(phase, snapshot, count)
+        self._ledger.append(record)
         self._spent += count
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ graphs.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
@@ -45,10 +45,13 @@ class CSRGraph:
     __slots__ = ("nodes", "index", "indptr", "indices")
 
     def __init__(
-        self, nodes: List[Node], indptr: np.ndarray, indices: np.ndarray
+        self, nodes: List[Node], indptr: np.ndarray, indices: np.ndarray,
+        index: Optional[Dict[Node, int]] = None,
     ) -> None:
         self.nodes = nodes
-        self.index: Dict[Node, int] = {u: i for i, u in enumerate(nodes)}
+        self.index: Dict[Node, int] = (
+            dict(zip(nodes, range(len(nodes)))) if index is None else index
+        )
         self.indptr = indptr
         self.indices = indices
 
@@ -63,22 +66,33 @@ class CSRGraph:
         the graph; neighbors outside the universe are dropped, which
         supports building a ``G_t2`` view restricted to ``V_t1``.
         """
-        node_list = list(nodes) if nodes is not None else list(graph.nodes())
-        index = {u: i for i, u in enumerate(node_list)}
+        adj = graph.adjacency_map()
+        node_list = list(adj) if nodes is None else list(nodes)
         n = len(node_list)
+        index = dict(zip(node_list, range(n)))
         if len(index) != n:
             raise ValueError("duplicate nodes in CSR universe")
-        rows = [
-            [index[v] for v in graph.neighbors(u) if v in index]
-            for u in node_list
-        ]
+        rows = list(map(adj.__getitem__, node_list))
         counts = np.fromiter(map(len, rows), np.int64, n)
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        flat = np.fromiter(chain.from_iterable(rows), np.int64, int(indptr[-1]))
-        # One stable sort on owner·n + neighbour orders every row at once.
+        # -1 marks a neighbour outside the universe.
+        flat = np.fromiter(
+            map(index.get, chain.from_iterable(rows), repeat(-1)),
+            np.int64, int(counts.sum()),
+        )
         owner = np.repeat(np.arange(n, dtype=np.int64), counts)
-        order = np.argsort(owner * n + flat, kind="stable")
-        return cls(node_list, indptr, flat[order].astype(np.int32))
+        inside = flat >= 0
+        if not inside.all():
+            owner, flat = owner[inside], flat[inside]
+            counts = np.bincount(owner, minlength=n)
+        # The keys row·n + col are unique, and each row's keys fill that
+        # row's block, so one sort orders every row at once.
+        base = owner * n
+        keys = base + flat
+        keys.sort()
+        keys -= base
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return cls(node_list, indptr, keys.astype(np.int32), index)
 
     @property
     def num_nodes(self) -> int:
@@ -114,33 +128,31 @@ def _multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def bfs_levels(csr: CSRGraph, source_idx: int) -> np.ndarray:
     """Hop levels from a source index; ``UNREACHED`` where disconnected.
 
-    Expands one whole BFS level per iteration using vectorised gathers,
-    so the Python-level loop runs ``O(diameter)`` times instead of
-    ``O(n)``.
+    Expands one whole BFS level per iteration with an edge mask: the
+    frontier's node mask, repeated over each row's CSR entries, selects
+    the neighbours of every frontier node in one boolean gather, and the
+    next frontier is ``levels == depth``.  The Python loop runs
+    ``O(diameter)`` times, and every level reads all ``2m`` entries: a
+    long thin graph pays that per level (docs/perf.md, "Algorithm 1
+    per-query overhead").
     """
     n = csr.num_nodes
     if not 0 <= source_idx < n:
         raise IndexError(f"source index {source_idx} out of range [0, {n})")
     levels = np.full(n, UNREACHED, dtype=np.int32)
     levels[source_idx] = 0
-    frontier = np.array([source_idx], dtype=np.int64)
+    counts = np.diff(csr.indptr)
+    indices = csr.indices
+    frontier = levels == 0
     depth = 0
-    indptr, indices = csr.indptr, csr.indices
-    while frontier.size:
+    while True:
         depth += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        nonzero = counts > 0
-        if not nonzero.any():
-            break
-        gather = _multi_arange(starts[nonzero], counts[nonzero])
-        neighbors = indices[gather]
+        neighbors = indices[np.repeat(frontier, counts)]
         fresh = neighbors[levels[neighbors] == UNREACHED]
         if fresh.size == 0:
-            break
+            return levels
         levels[fresh] = depth
-        frontier = np.flatnonzero(levels == depth)
-    return levels
+        frontier = levels == depth
 
 
 def bfs_distances_fast(graph: Graph, source: Node) -> Dict[Node, int]:

@@ -17,7 +17,9 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import (
+    Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple,
+)
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -169,6 +171,14 @@ class Graph:
     def adjacency(self, u: Node) -> Dict[Node, float]:
         """The internal ``{neighbor: weight}`` mapping of ``u`` (do not mutate)."""
         return self._adj[u]
+
+    def adjacency_map(self) -> Mapping[Node, Mapping[Node, float]]:
+        """The internal ``node -> {neighbor: weight}`` mapping (do not mutate).
+
+        Whole-graph passes read it to compare key views (``keys() <=``)
+        or to flatten neighbour lists without a method call per node.
+        """
+        return self._adj
 
     def degree(self, u: Node) -> int:
         """Number of neighbors of ``u``.  Nodes absent from the graph have

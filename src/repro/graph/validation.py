@@ -56,6 +56,18 @@ def check_snapshot_pair(g1: Graph, g2: Graph) -> None:
         *heavier* in ``g2`` (which could make distances increase and break
         the non-negativity of the convergence score).
     """
+    # Fast accept: every t1 node and every t1 neighbour list survives at
+    # t2 (one dict key-view subset test per node, run in C), and with
+    # all weights 1 on both sides no weight can have grown.  Weighted
+    # pairs and every breach take the loop below, which names the first
+    # breach.
+    adj1, adj2 = g1.adjacency_map(), g2.adjacency_map()
+    if (
+        adj1.keys() <= adj2.keys()
+        and all(nbrs.keys() <= adj2[u].keys() for u, nbrs in adj1.items())
+        and not (g1.is_weighted() or g2.is_weighted())
+    ):
+        return
     for u in g1.nodes():
         if u not in g2:
             raise GraphValidationError(

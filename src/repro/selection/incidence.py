@@ -54,14 +54,17 @@ def new_edges(g1: Graph, g2: Graph) -> List[Tuple[Node, Node]]:
 
 
 def active_nodes(g1: Graph, g2: Graph) -> Set[Node]:
-    """Nodes of ``G_t1`` incident to at least one new edge."""
-    active: Set[Node] = set()
-    for u, v in new_edges(g1, g2):
-        if u in g1:
-            active.add(u)
-        if v in g1:
-            active.add(v)
-    return active
+    """Nodes of ``G_t1`` incident to at least one new edge.
+
+    A node is active when its t2 neighbour keys are not a subset of its
+    t1 ones: one dict key-view test per ``G_t1`` node, the same set as
+    the endpoints of :func:`new_edges` that lie in ``G_t1``.
+    """
+    adj2 = g2.adjacency_map()
+    return {
+        u for u, nbrs in g1.adjacency_map().items()
+        if u in adj2 and not adj2[u].keys() <= nbrs.keys()
+    }
 
 
 def _edge_bc(

@@ -293,6 +293,34 @@ class TestCSRScoringPath:
         ]
         assert fast.budget.ledger() == ref.budget.ledger()
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_all_rows_cached_and_k_at_a_tie(self, data):
+        g1, g2 = data.draw(mixed_id_snapshot_pair())
+        nodes = list(g1.nodes())
+        order = data.draw(st.permutations(nodes))
+        candidates = order[:data.draw(st.integers(1, len(nodes)))]
+        # Every candidate's rows come from the selector on both snapshots,
+        # so phase 2 computes and charges nothing.
+        selector = FixedSelector(
+            candidates,
+            d1_rows={c: dict(bfs_distances(g1, c)) for c in candidates},
+            d2_rows={c: dict(bfs_distances(g2, c)) for c in candidates},
+        )
+        everything, _ = self._run_both(g1, g2, selector, k=len(nodes) ** 2,
+                                       m=len(candidates))
+        deltas = [p.delta for p in everything.pairs]
+        ties = [i + 1 for i in range(len(deltas) - 1)
+                if deltas[i] == deltas[i + 1]]
+        k = data.draw(st.sampled_from(ties)) if ties else max(len(deltas), 1)
+        fast, ref = self._run_both(g1, g2, selector, k=k, m=len(candidates))
+        assert [(p.u, p.v, p.d1, p.d2) for p in fast.pairs] == [
+            (p.u, p.v, p.d1, p.d2) for p in ref.pairs
+        ]
+        assert fast.budget.spent == ref.budget.spent == 0
+        assert fast.budget.ledger() == ref.budget.ledger() == ()
+
     def test_no_cached_rows(self, shortcut_pair):
         g1, g2 = shortcut_pair
         fast, ref = self._run_both(g1, g2, FixedSelector([0, 3]))
@@ -405,6 +433,66 @@ class TestBudgetLedgerPin:
         assert [(p.pair, p.d1, p.d2) for p in result.pairs] == [
             (p.pair, p.d1, p.d2) for p in reference.pairs
         ]
+
+
+class TestPerQueryWork:
+    """Counts, not time: one query validates its pair once and freezes
+    each snapshot once, whatever the selector; nothing is reused from
+    an earlier query on the same graphs."""
+
+    @pytest.mark.parametrize("name", [
+        "MMSD", "SumDiff", "MaxAvg", "IncDeg", "DegDiff", "CoordDiff",
+    ])
+    def test_two_csr_builds_and_one_check(self, monkeypatch, name):
+        from repro.core import algorithm
+        from repro.selection import get_selector
+
+        g1, g2 = random_snapshot_pair(num_nodes=60, num_edges=150, seed=3)
+        calls = {"csr": 0, "check": 0}
+        build = CSRGraph.from_graph.__func__
+        check = algorithm.check_snapshot_pair
+
+        def counted_build(cls, graph, nodes=None):
+            calls["csr"] += 1
+            return build(cls, graph, nodes)
+
+        def counted_check(a, b):
+            calls["check"] += 1
+            return check(a, b)
+
+        monkeypatch.setattr(CSRGraph, "from_graph",
+                            classmethod(counted_build))
+        monkeypatch.setattr(algorithm, "check_snapshot_pair", counted_check)
+        for query in (1, 2):
+            result = find_top_k_converging_pairs(
+                g1, g2, k=10, m=8, selector=get_selector(name), seed=0,
+            )
+            assert result.budget.spent == 2 * len(result.candidates)
+            assert calls == {"csr": 2 * query, "check": query}
+
+
+class TestResultRecords:
+    def test_topk_result_survives_pickle(self, shortcut_pair):
+        import pickle
+
+        g1, g2 = shortcut_pair
+        result = find_top_k_converging_pairs(
+            g1, g2, k=3, m=3, budget_limit=None,
+            selector=FixedSelector([0, 2, 4], generation_cost=2),
+        )
+        back = pickle.loads(pickle.dumps(result))
+        assert [(p.u, p.v, p.d1, p.d2) for p in back.pairs] == [
+            (p.u, p.v, p.d1, p.d2) for p in result.pairs
+        ]
+        assert back.candidates == result.candidates
+        assert back.budget.ledger() == result.budget.ledger()
+        assert back.budget.spent == result.budget.spent == 8
+        assert back.budget.limit == result.budget.limit
+        # The copy keeps sharing one record per distinct charge.
+        ledger = back.budget.ledger()
+        assert ledger[1] is ledger[3]
+        back.budget.charge("topk", "g1", 1)
+        assert back.budget.ledger()[-1] is ledger[1]
 
 
 @st.composite

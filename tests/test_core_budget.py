@@ -1,8 +1,10 @@
 """Unit tests for repro.core.budget.SPBudget."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.budget import BudgetExceededError, SPBudget
+from repro.core.budget import BudgetExceededError, ChargeRecord, SPBudget
 
 
 class TestBasics:
@@ -111,3 +113,43 @@ class TestAudit:
         for i in range(1, 6):
             b.charge(f"phase{i % 2}", "g1", i)
         assert sum(r.count for r in b.ledger()) == b.spent == 15
+
+
+class TestSharedRecords:
+    CHARGES = [
+        ("generation", "g1", 3), ("topk", "g1", 1), ("topk", "g2", 1),
+        ("topk", "g1", 1), ("generation", "g2", 2), ("topk", "g2", 1),
+        ("topk", "g1", 2),
+    ]
+
+    def _budget(self):
+        b = SPBudget(None)
+        for phase, snapshot, count in self.CHARGES:
+            b.charge(phase, snapshot, count)
+        return b
+
+    def test_ledger_equals_one_record_per_charge(self):
+        ledger = self._budget().ledger()
+        assert ledger == tuple(ChargeRecord(*c) for c in self.CHARGES)
+        assert [(r.phase, r.snapshot, r.count) for r in ledger] == self.CHARGES
+
+    def test_audits_keep_first_seen_order(self):
+        b = self._budget()
+        assert list(b.by_phase().items()) == [("generation", 5), ("topk", 6)]
+        assert list(b.by_snapshot().items()) == [("g1", 7), ("g2", 4)]
+
+    def test_equal_charges_share_one_record(self):
+        ledger = self._budget().ledger()
+        assert ledger[1] is ledger[3]
+        assert ledger[2] is ledger[5]
+        assert ledger[1] is not ledger[6]  # same phase and snapshot, count 2
+        assert len({id(r) for r in ledger}) == len(set(self.CHARGES))
+
+    def test_budgets_do_not_share_records(self):
+        assert self._budget().ledger()[0] is not self._budget().ledger()[0]
+
+    def test_record_cannot_be_mutated(self):
+        record = self._budget().ledger()[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.count = 5
+        assert record == ChargeRecord("topk", "g1", 1)

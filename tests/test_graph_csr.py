@@ -17,6 +17,7 @@ from repro.graph.graph import Graph
 from repro.graph.traversal import bfs_distances
 
 from conftest import (
+    cycle_graph,
     grid_graph,
     path_graph,
     random_snapshot_pair,
@@ -110,6 +111,34 @@ class TestFromGraphMatchesReference:
         assert csr.indptr.tobytes() == indptr.tobytes()
         assert csr.indices.tobytes() == indices.tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_byte_identical_on_universes_that_drop_neighbours(self, data):
+        g, _ = data.draw(mixed_id_graph_and_universe())
+        edges = list(g.edges())
+        if not edges:
+            g.add_edge(0, "a")
+            edges = list(g.edges())
+        # Leave out one endpoint of a drawn edge, so the other endpoint's
+        # row loses at least that neighbour.
+        u, v = data.draw(st.sampled_from(edges))
+        rest = [w for w in g.nodes() if w != v]
+        universe = data.draw(st.permutations(rest))
+        universe = [u] + [w for w in universe if w != u][
+            : data.draw(st.integers(0, len(rest) - 1))
+        ]
+        csr = CSRGraph.from_graph(g, nodes=universe)
+        nodes, indptr, indices = reference_from_graph(g, universe)
+        assert indices.size < sum(g.degree(w) for w in universe)
+        assert csr.nodes == nodes
+        assert csr.index == {w: i for i, w in enumerate(nodes)}
+        assert csr.indptr.tobytes() == indptr.tobytes()
+        assert csr.indices.tobytes() == indices.tobytes()
+
+    def test_unknown_universe_node_rejected(self, path5):
+        with pytest.raises(KeyError):
+            CSRGraph.from_graph(path5, nodes=[0, 1, 99])
+
     def test_empty_graph(self):
         csr = CSRGraph.from_graph(Graph())
         _, indptr, indices = reference_from_graph(Graph())
@@ -154,6 +183,32 @@ class TestBFSLevels:
                 for i in np.flatnonzero(levels != UNREACHED)
             }
             assert got == dict(ref)
+
+    def test_long_path_closed_form(self):
+        # 701 nodes: the levels reach 700 from an end, 350 from the middle.
+        n = 701
+        csr = CSRGraph.from_graph(path_graph(n))
+        for s in (0, n // 2, n - 1):
+            levels = bfs_levels(csr, csr.index[s])
+            expected = [abs(i - s) for i in range(n)]
+            assert [int(levels[csr.index[i]]) for i in range(n)] == expected
+
+    def test_long_cycle_closed_form(self):
+        n = 1031
+        csr = CSRGraph.from_graph(cycle_graph(n))
+        for s in (0, 515, n - 1):
+            levels = bfs_levels(csr, csr.index[s])
+            expected = [min(abs(i - s), n - abs(i - s)) for i in range(n)]
+            assert [int(levels[csr.index[i]]) for i in range(n)] == expected
+
+    def test_edgeless_graph(self):
+        g = Graph()
+        for u in range(5):
+            g.add_node(u)
+        csr = CSRGraph.from_graph(g)
+        levels = bfs_levels(csr, 3)
+        assert levels.dtype == np.int32
+        assert levels.tolist() == [UNREACHED] * 3 + [0, UNREACHED]
 
     def test_grid(self):
         g = grid_graph(5, 7)
@@ -200,3 +255,34 @@ class TestEquivalenceProperty:
             for i in np.flatnonzero(levels != UNREACHED)
         }
         assert got == ref
+
+
+@st.composite
+def graph_and_source(draw):
+    """A small graph with isolated nodes and several components, and
+    any of its nodes as the source."""
+    g = Graph()
+    for u in draw(st.lists(NODE, max_size=5)):
+        g.add_node(u)
+    for u, v in draw(st.lists(st.tuples(NODE, NODE), max_size=30)):
+        if u != v:
+            g.add_edge(u, v)
+    if not g.num_nodes:
+        g.add_node(0)
+    return g, draw(st.sampled_from(list(g.nodes())))
+
+
+class TestBFSLevelsProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(case=graph_and_source())
+    def test_equals_bfs_distances_from_any_source(self, case):
+        g, source = case
+        csr = CSRGraph.from_graph(g)
+        levels = bfs_levels(csr, csr.index[source])
+        ref = dict(bfs_distances(g, source))
+        assert levels.dtype == np.int32
+        assert {
+            csr.nodes[i]: int(levels[i])
+            for i in np.flatnonzero(levels != UNREACHED)
+        } == ref
+        assert int((levels == UNREACHED).sum()) == g.num_nodes - len(ref)

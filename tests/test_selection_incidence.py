@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.budget import SPBudget
 from repro.core.pairs import converging_pairs_at_threshold
@@ -41,6 +43,29 @@ class TestActiveNodes:
 
     def test_identical_graph_no_new_edges(self, path5):
         assert new_edges(path5, path5) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        old=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)),
+                     max_size=30),
+        new=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)),
+                     max_size=20),
+        isolated=st.lists(st.integers(0, 14), max_size=4),
+    )
+    def test_equals_endpoints_of_new_edges(self, old, new, isolated):
+        # Ids 15-24 exist only at t2, so some new edges have one
+        # endpoint (or both) outside V_t1.
+        g1 = Graph([(u, v) for u, v in old if u != v])
+        for u in isolated:
+            g1.add_node(u)
+        g2 = g1.copy()
+        for u, v in new:
+            if u != v:
+                g2.add_edge(u, v)
+        expected = {
+            w for edge in new_edges(g1, g2) for w in edge if w in g1
+        }
+        assert active_nodes(g1, g2) == expected
 
 
 class TestIncDeg:
