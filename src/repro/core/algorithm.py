@@ -72,6 +72,8 @@ def find_top_k_converging_pairs(
     seed: Optional[int] = None,
     validate: bool = True,
     budget_limit: Optional[int] = -1,
+    *,
+    pair: Optional[SnapshotPair] = None,
 ) -> TopKResult:
     """Algorithm 1: budgeted top-k converging pairs.
 
@@ -93,6 +95,10 @@ def find_top_k_converging_pairs(
     budget_limit:
         ``-1`` (default) enforces the paper's ``2m``; ``None`` disables
         enforcement; any other value is a custom limit.
+    pair:
+        The :class:`~repro.graph.pair.SnapshotPair` of ``g1`` and ``g2``
+        when the caller already holds one; ``None`` builds it.  A pair
+        built over other graph objects raises ``ValueError``.
 
     Returns
     -------
@@ -105,7 +111,7 @@ def find_top_k_converging_pairs(
         raise ValueError(f"m must be >= 1, got {m}")
     if validate:
         check_snapshot_pair(g1, g2)
-    pair = SnapshotPair.from_graphs(g1, g2)
+    pair = SnapshotPair.of(g1, g2, pair)
 
     limit = 2 * m if budget_limit == -1 else budget_limit
     budget = SPBudget(limit)

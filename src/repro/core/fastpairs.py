@@ -1,9 +1,12 @@
 """Vectorised (CSR) ground-truth engine for unweighted snapshot pairs.
 
-Level rows come in blocks of 64 sources from the multi-source BFS
+Level rows come in blocks from the multi-source BFS
 (:func:`~repro.graph.msbfs.msbfs_levels`) on both snapshots of one
 :class:`~repro.graph.pair.SnapshotPair`, the t2 block re-indexed onto
-t1's node order.  Row ``i`` owns the pair at column ``j`` when
+t1's node order.  A block's height is sized from the pair: the largest
+multiple of 64 sources whose level block fits :data:`BLOCK_CELLS`, so a
+pair of a few hundred nodes takes one sweep per snapshot and a large one
+keeps 64-source blocks.  Row ``i`` owns the pair at column ``j`` when
 ``j > i`` and ``j`` is reachable at t1, so every connected pair is seen
 once, in ``(i, j)`` order; a block starting at source ``s`` keeps only
 the columns from ``s`` on, the only ones its rows can own.  Each
@@ -22,14 +25,14 @@ agrees exactly with the ``dict`` engine, pair for pair.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.csr import UNREACHED, bfs_levels
 from repro.graph.graph import Graph
 from repro.graph.incremental import SnapshotDelta, repair_levels
-from repro.graph.msbfs import DEFAULT_BATCH, msbfs_levels
+from repro.graph.msbfs import WORD_BITS, msbfs_levels
 from repro.graph.pair import SnapshotPair
 from repro.graph.prune import (
     KthTracker,
@@ -45,39 +48,65 @@ Row = Tuple[object, object, int, int]
 #: aligned t2 levels of the columns from that index on.
 Block = Tuple[int, np.ndarray, np.ndarray]
 
+#: ``int32`` cells one level block may hold (height × the larger
+#: snapshot's node count).  Chosen by timing the end-to-end benchmark's
+#: truth operations in process (docs/perf.md, "Sized msbfs blocks"):
+#: 2^16 to 2^18 cells ran within 4% of each other, 2^15 and 64-source
+#: blocks slower, and the smallest of the three holds the least memory
+#: per block.  Snapshots of more than 1,024 nodes keep 64-source blocks.
+BLOCK_CELLS = 1 << 16
 
-def _blocks(g1: Graph, g2: Graph) -> Tuple[Sequence[object], Iterator[Block]]:
-    """t1 node order plus the level blocks of every t1 source.
+
+def _block_height(width: int) -> int:
+    """Sources per block: the largest multiple of 64 whose ``height ×
+    width`` level block fits :data:`BLOCK_CELLS`, and never below 64."""
+    fit = BLOCK_CELLS // max(width, 1) // WORD_BITS * WORD_BITS
+    return max(WORD_BITS, fit)
+
+
+def _blocks(
+    g1: Graph, g2: Graph, pair: Optional[SnapshotPair] = None
+) -> Tuple[Sequence[object], range, Callable[[int], Block]]:
+    """t1 node order, the first source of every block, and the block
+    at a first source.
 
     Block ``(s, lv1, lv2)`` holds the rows of sources ``s .. s + b − 1``
-    (``b <= 64``) at the t1 nodes ``s .. n1 − 1``: ``lv1`` on ``G_t1``
-    and ``lv2`` on ``G_t2``, both ``(b, n1 − s)`` ``int32`` arrays in
-    t1's node order.  Column ``c`` is node ``s + c``.
+    (``b`` at most :func:`_block_height` of the pair) at the t1 nodes
+    ``s .. n1 − 1``: ``lv1`` on ``G_t1`` and ``lv2`` on ``G_t2``, both
+    ``(b, n1 − s)`` ``int32`` arrays in t1's node order.  Column ``c``
+    is node ``s + c``.  A collector passes each block straight to the
+    code that reads it, so a block is freed before the next is swept.
+    ``pair`` is the pair of ``g1``/``g2`` when the caller holds one
+    (:meth:`SnapshotPair.of`).
     """
-    pair = SnapshotPair.from_graphs(g1, g2)
+    pair = SnapshotPair.of(g1, g2, pair)
     csr1, csr2, mapping = pair.csr1, pair.csr2, pair.mapping
     if csr1 is None or csr2 is None or mapping is None:
         raise ValueError(
             "the CSR engine counts hops; weighted snapshots need the dict "
             "engine"
         )
+    n = csr1.num_nodes
+    height = _block_height(max(n, csr2.num_nodes))
 
-    def blocks() -> Iterator[Block]:
-        n = csr1.num_nodes
-        for start in range(0, n, DEFAULT_BATCH):
-            sources = np.arange(start, min(start + DEFAULT_BATCH, n))
-            lv1 = msbfs_levels(csr1, sources)
-            lv2 = msbfs_levels(csr2, mapping[sources])
-            yield start, lv1[:, start:], lv2[:, mapping[start:]]
+    def block(start: int) -> Block:
+        sources = np.arange(start, min(start + height, n))
+        return (
+            start,
+            msbfs_levels(csr1, sources, height)[:, start:],
+            msbfs_levels(csr2, mapping[sources], height)[:, mapping[start:]],
+        )
 
-    return csr1.nodes, blocks()
+    return csr1.nodes, range(0, n, height), block
 
 
 def _owned(start: int, lv1: np.ndarray) -> np.ndarray:
     """Cells of a block whose pair its row owns: ``j > i``, reached at t1."""
     rows = np.arange(start, start + lv1.shape[0])[:, None]
     cols = np.arange(start, start + lv1.shape[1])
-    return (cols > rows) & (lv1 != UNREACHED)
+    own = lv1 != UNREACHED
+    own &= cols > rows
+    return own
 
 
 def _rows_at(
@@ -95,6 +124,30 @@ def _rows_at(
     ]
 
 
+def _block_histogram(hist: Counter, block: Block) -> None:
+    """Add a block's owned Δs to ``hist``, new keys by first row, then
+    by value."""
+    start, lv1, lv2 = block
+    own = _owned(start, lv1)
+    deltas = (lv1 - lv2)[own]
+    if not deltas.size:
+        return
+    if deltas.min() < 0:
+        raise ValueError(
+            "negative distance change: G_t1 is not a subgraph of "
+            "G_t2 (run check_snapshot_pair for details)"
+        )
+    counts = np.bincount(deltas)
+    # held[d, r]: row r owns a pair at Δ = d; argmax finds the first.
+    rows = np.arange(lv1.shape[0], dtype=np.int32)
+    held = np.zeros((counts.size, rows.size), dtype=bool)
+    held[deltas, np.repeat(rows, own.sum(axis=1))] = True
+    keys = np.flatnonzero(counts)
+    first = held[keys].argmax(axis=1)
+    for d in keys[np.lexsort((keys, first))].tolist():
+        hist[d] += int(counts[d])
+
+
 def csr_delta_histogram(g1: Graph, g2: Graph) -> Counter:
     """Exact Δ histogram over connected t1 pairs (unweighted fast path).
 
@@ -102,25 +155,20 @@ def csr_delta_histogram(g1: Graph, g2: Graph) -> Counter:
     the rows in source order meets them (by first row, then by value),
     so the ``Counter`` iterates as the per-row engine's did.
     """
-    _, blocks = _blocks(g1, g2)
+    _, starts, block = _blocks(g1, g2)
     hist: Counter = Counter()
-    for start, lv1, lv2 in blocks:
-        own = _owned(start, lv1)
-        deltas = (lv1 - lv2)[own]
-        if not deltas.size:
-            continue
-        if deltas.min() < 0:
-            raise ValueError(
-                "negative distance change: G_t1 is not a subgraph of "
-                "G_t2 (run check_snapshot_pair for details)"
-            )
-        counts = np.bincount(deltas)
-        first = np.full(counts.size, lv1.shape[0])
-        np.minimum.at(first, deltas, np.nonzero(own)[0])
-        for d in np.lexsort((np.arange(counts.size), first)).tolist():
-            if counts[d]:
-                hist[d] += int(counts[d])
+    for start in starts:
+        _block_histogram(hist, block(start))
     return hist
+
+
+def _threshold_rows(
+    nodes: Sequence[object], block: Block, delta_min: float
+) -> List[Row]:
+    """A block's owned rows with ``Δ >= delta_min``."""
+    start, lv1, lv2 = block
+    hit = _owned(start, lv1) & (lv1 - lv2 >= delta_min)
+    return _rows_at(nodes, block, hit)
 
 
 def csr_pairs_at_threshold(
@@ -133,16 +181,29 @@ def csr_pairs_at_threshold(
     :class:`~repro.core.pairs.ConvergingPair` objects so every engine
     shares one construction path.
     """
-    nodes, blocks = _blocks(g1, g2)
+    nodes, starts, block = _blocks(g1, g2)
     rows: List[Row] = []
-    for block in blocks:
-        start, lv1, lv2 = block
-        hit = _owned(start, lv1) & (lv1 - lv2 >= delta_min)
-        rows.extend(_rows_at(nodes, block, hit))
+    for start in starts:
+        rows.extend(_threshold_rows(nodes, block(start), delta_min))
     return rows
 
 
-def csr_top_k_pairs(g1: Graph, g2: Graph, k: int) -> List[Row]:
+def _top_rows(
+    nodes: Sequence[object], block: Block, tracker: KthTracker
+) -> List[Row]:
+    """Offer a block's owned Δs to ``tracker``, then return its owned
+    rows at or above the tracker's threshold."""
+    start, lv1, lv2 = block
+    own = _owned(start, lv1)
+    deltas = lv1 - lv2
+    tracker.offer(deltas[own])
+    own &= deltas >= tracker.threshold
+    return _rows_at(nodes, block, own)
+
+
+def csr_top_k_pairs(
+    g1: Graph, g2: Graph, k: int, *, pair: Optional[SnapshotPair] = None
+) -> List[Row]:
     """Rows holding the exact top-k, from one pass at the running k-th Δ.
 
     Each block offers its Δs to a :class:`~repro.graph.prune.KthTracker`
@@ -151,22 +212,17 @@ def csr_top_k_pairs(g1: Graph, g2: Graph, k: int) -> List[Row]:
     is a superset of the exact top-k, ties at the k-th Δ included, in
     ``(i, j)`` order; the caller sorts by ``(−Δ, repr)`` and truncates,
     which yields exactly the pairs of a histogram pass plus a threshold
-    pass.
+    pass.  ``pair`` is the pair of ``g1``/``g2`` when the caller holds
+    one.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    nodes, blocks = _blocks(g1, g2)
+    nodes, starts, block = _blocks(g1, g2, pair)
     tracker = KthTracker(k)
     rows: List[Row] = []
     compact_at = max(4 * k, 256)
-    for block in blocks:
-        start, lv1, lv2 = block
-        own = _owned(start, lv1)
-        deltas = lv1 - lv2
-        tracker.offer(deltas[own])
-        rows.extend(
-            _rows_at(nodes, block, own & (deltas >= tracker.threshold))
-        )
+    for start in starts:
+        rows.extend(_top_rows(nodes, block(start), tracker))
         if len(rows) > compact_at:
             floor = tracker.threshold
             rows = [r for r in rows if r[2] - r[3] >= floor]

@@ -22,6 +22,7 @@ plus a threshold pass on the ``dict`` engine.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from typing import (
@@ -29,6 +30,7 @@ from typing import (
 )
 
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 from repro.graph.traversal import single_source_distances
 from repro.graph.validation import check_snapshot_pair
 
@@ -48,9 +50,12 @@ def canonical_pair(u: Node, v: Node) -> Pair:
         return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvergingPair:
     """A scored converging pair.
+
+    Slotted: an answer keeps a list of these, and a pair without a
+    ``__dict__`` holds about two thirds of the bytes.
 
     Attributes
     ----------
@@ -120,8 +125,8 @@ ENGINES = ("auto", "csr", "dict")
 def _resolve_engine(g1: Graph, g2: Graph, engine: str) -> str:
     """Resolve the requested engine to ``csr`` or ``dict``.
 
-    ``auto`` picks the CSR engine — msbfs rows in blocks of 64 sources on
-    both snapshots (:mod:`repro.core.fastpairs`) — whenever both
+    ``auto`` picks the CSR engine — msbfs rows in blocks sized from the
+    pair on both snapshots (:mod:`repro.core.fastpairs`) — whenever both
     snapshots are unweighted, and the dict engine otherwise.  Explicit
     names are honoured as given, except that ``csr`` counts hops and so
     raises ``ValueError`` on a weighted pair.
@@ -155,6 +160,32 @@ def _ranked(
     return out
 
 
+def _ranked_top(
+    rows: Sequence[Tuple[Node, Node, float, float]], k: int
+) -> List[ConvergingPair]:
+    """``_ranked(rows)[:k]``, building only the ``k`` pairs it returns.
+
+    Rows under the k-th largest Δ sort after the first ``k``, so they
+    are cut first; the survivors are ordered by
+    :meth:`ConvergingPair.sort_key` of their canonical endpoints, row
+    order breaking ties as the stable sort does.
+    """
+    if len(rows) > k:
+        kth = heapq.nlargest(k, (d1 - d2 for _, _, d1, d2 in rows))[-1]
+        rows = [row for row in rows if row[2] - row[3] >= kth]
+    ends = [canonical_pair(u, v) for u, v, _, _ in rows]
+    order = sorted(
+        range(len(rows)),
+        key=lambda i: (
+            rows[i][3] - rows[i][2],  # −Δ
+            repr(ends[i][0]), repr(ends[i][1]),
+        ),
+    )
+    return [
+        ConvergingPair(*ends[i], rows[i][2], rows[i][3]) for i in order[:k]
+    ]
+
+
 def delta_histogram(
     g1: Graph, g2: Graph, validate: bool = True, engine: str = "auto"
 ) -> Counter:
@@ -166,8 +197,8 @@ def delta_histogram(
 
     ``engine`` selects the implementation: ``"dict"`` streams Python
     distance maps (works for weighted graphs), ``"csr"`` takes both
-    snapshots' level rows from the multi-source BFS in blocks of 64
-    sources, and ``"auto"`` (default) picks ``csr`` whenever both
+    snapshots' level rows from the multi-source BFS in blocks sized
+    from the pair, and ``"auto"`` (default) picks ``csr`` whenever both
     snapshots are unweighted.  Both engines return identical histograms
     — a property the test suite pins down.
     """
@@ -240,7 +271,8 @@ def converging_pairs_at_threshold(
 
 def top_k_converging_pairs(
     g1: Graph, g2: Graph, k: int, validate: bool = True,
-    engine: str = "auto", prune: bool = False,
+    engine: str = "auto", prune: bool = False, *,
+    pair: Optional[SnapshotPair] = None,
 ) -> List[ConvergingPair]:
     """The exact top-k converging pairs (Problem 1), ground-truth solution.
 
@@ -259,10 +291,17 @@ def top_k_converging_pairs(
     ``ValueError`` where the engine resolves to ``dict`` (an explicit
     ``dict``, or weighted snapshots).
 
+    ``pair`` is the :class:`~repro.graph.pair.SnapshotPair` of ``g1`` and
+    ``g2`` when the caller already holds one: the ``csr`` engine takes
+    its rows from it instead of building its own, and a pair built over
+    other graph objects raises ``ValueError`` on either engine.
+
     Returns fewer than k pairs when fewer than k pairs have Δ > 0.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
+    if pair is not None:
+        SnapshotPair.of(g1, g2, pair)
     if validate:
         check_snapshot_pair(g1, g2)
     resolved = _resolve_engine(g1, g2, engine)
@@ -275,7 +314,7 @@ def top_k_converging_pairs(
     if resolved == "csr":
         from repro.core.fastpairs import csr_top_k_pairs
 
-        return _ranked(csr_top_k_pairs(g1, g2, k))[:k]
+        return _ranked_top(csr_top_k_pairs(g1, g2, k, pair=pair), k)
     hist = delta_histogram(g1, g2, validate=False, engine="dict")
     # Find the smallest positive threshold with at least k pairs above it.
     threshold = None

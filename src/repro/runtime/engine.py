@@ -52,7 +52,11 @@ from repro.core.pairs import ConvergingPair, top_k_converging_pairs
 from repro.graph.dynamic import TemporalGraph, apply_events
 from repro.graph.graph import Graph
 from repro.graph.pair import SnapshotPair
-from repro.graph.validation import GraphValidationError, repair_snapshot_pair
+from repro.graph.validation import (
+    GraphValidationError,
+    check_snapshot_pair,
+    repair_snapshot_pair,
+)
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.events import log_event
 from repro.resilience.faults import FaultInjector, InjectedFault
@@ -207,9 +211,11 @@ def _extend(graph: Graph, rows: Sequence[EventRow]) -> Graph:
 
 @dataclass
 class _KeptWindow:
-    """The newest closed window's snapshots, and its pair once read.
+    """The newest closed window's snapshots and the pair it was computed on.
 
     Shared, never mutated: the next window's ``G_t2`` is built on a copy.
+    ``pair`` is ``None`` only for a window reopened by recovery, until
+    its first read.
     """
 
     index: int
@@ -554,10 +560,11 @@ class StreamRuntime:
 
         Over its ``G_t1`` and its ``G_t2`` projected onto the nearest
         valid superset of ``G_t1`` (:func:`repair_snapshot_pair`; the
-        kept ``G_t2`` itself when nothing needed repair).  Built on the
-        window's first read and kept with its snapshots, so every read
-        at one state version shares one pair; ``IndexError`` before the
-        first window closes.
+        kept ``G_t2`` itself when nothing needed repair).  A window
+        closed in this process keeps the pair its computation ran on; a
+        window reopened by recovery builds it on its first read.  Every
+        read at one state version shares one pair; ``IndexError`` before
+        the first window closes.
         """
         index = len(self.windows) - 1
         if index < 0:
@@ -586,7 +593,7 @@ class StreamRuntime:
         # The breaker is consulted exactly once per window, outside the
         # supervised attempt, so restarts cannot skew its schedule.
         try_direct = self.breaker.allow()
-        pairs, engine, direct_ok = self.supervisor.run(
+        pairs, engine, direct_ok, pair = self.supervisor.run(
             lambda: self._compute_window(index, g1, g2, try_direct),
             unit=f"window:{index}",
         )
@@ -600,7 +607,7 @@ class StreamRuntime:
             engine=engine, pairs=tuple(pairs),
         )
         self.windows.append(window)
-        self._kept = _KeptWindow(index, g1, g2)
+        self._kept = _KeptWindow(index, g1, g2, pair)
         self._window_start = end
         self.state_version += 1
         log_event(
@@ -612,7 +619,10 @@ class StreamRuntime:
 
     def _compute_window(
         self, index: int, g1: Graph, g2: Graph, try_direct: bool
-    ) -> Tuple[List[ConvergingPair], str, bool]:
+    ) -> Tuple[List[ConvergingPair], str, bool, SnapshotPair]:
+        """The window's pairs, engine label, whether the direct attempt
+        succeeded, and the one :class:`SnapshotPair` they were computed
+        on (over ``G_t2``, or over its repaired copy on the fallback)."""
         if self._window_injector is not None:
             self._window_injector.check(unit=f"window:{index}")
         if try_direct:
@@ -634,29 +644,31 @@ class StreamRuntime:
 
     def _direct_pairs(
         self, index: int, g1: Graph, g2: Graph
-    ) -> Tuple[List[ConvergingPair], str, bool]:
+    ) -> Tuple[List[ConvergingPair], str, bool, SnapshotPair]:
+        check_snapshot_pair(g1, g2)
+        pair = SnapshotPair.from_graphs(g1, g2)
         if self.config.selector is None:
-            weighted = g1.is_weighted() or g2.is_weighted()
-            engine = "dict" if weighted else "csr"
+            engine = "dict" if pair.weighted else "csr"
             pairs = top_k_converging_pairs(
-                g1, g2, self.config.k, validate=True, engine=engine
+                g1, g2, self.config.k, validate=False, engine=engine,
+                pair=pair,
             )
-            return pairs, engine, True
+            return pairs, engine, True, pair
         if g1.num_nodes < 2:
             # No pair can have a finite G_t1 distance, and selectors
             # cannot nominate candidates from an (almost) empty graph —
             # the first window of a fresh stream is legitimately empty.
-            return [], "budgeted", True
+            return [], "budgeted", True, pair
         result = find_top_k_converging_pairs(
             g1, g2, k=self.config.k, m=self.config.m,
             selector=get_selector(self.config.selector),
-            seed=self.config.seed + index, validate=True,
+            seed=self.config.seed + index, validate=False, pair=pair,
         )
-        return result.pairs, "budgeted", True
+        return result.pairs, "budgeted", True, pair
 
     def _fallback_pairs(
         self, index: int, g1: Graph, g2: Graph
-    ) -> Tuple[List[ConvergingPair], str, bool]:
+    ) -> Tuple[List[ConvergingPair], str, bool, SnapshotPair]:
         """Degraded path: repair the pair, never trust the validated
         direct attempt.
 
@@ -672,19 +684,20 @@ class StreamRuntime:
                 "runtime.window_repaired", window=index,
                 detail=repair.summary(),
             )
+        pair = SnapshotPair.from_graphs(g1, g2_safe)
         if self.config.selector is None:
-            weighted = g1.is_weighted() or g2_safe.is_weighted()
-            engine = "dict" if weighted else "csr"
+            engine = "dict" if pair.weighted else "csr"
             pairs = top_k_converging_pairs(
-                g1, g2_safe, self.config.k, validate=False, engine=engine
+                g1, g2_safe, self.config.k, validate=False, engine=engine,
+                pair=pair,
             )
-            return pairs, f"{engine}-fallback", False
+            return pairs, f"{engine}-fallback", False, pair
         result = find_top_k_converging_pairs(
             g1, g2_safe, k=self.config.k, m=self.config.m,
             selector=get_selector(self.config.selector),
-            seed=self.config.seed + index, validate=False,
+            seed=self.config.seed + index, validate=False, pair=pair,
         )
-        return result.pairs, "budgeted-fallback", False
+        return result.pairs, "budgeted-fallback", False, pair
 
     # ------------------------------------------------------------------
     # Checkpoints

@@ -1,11 +1,17 @@
 """Unit tests for repro.core.pairs — the ground-truth machinery."""
 
+import copy
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pairs import (
     ConvergingPair,
+    _ranked,
+    _ranked_top,
     canonical_pair,
     converging_pairs_at_threshold,
     delta_histogram,
@@ -16,6 +22,7 @@ from repro.core.pairs import (
     top_k_converging_pairs,
 )
 from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 from repro.graph.validation import GraphValidationError
 
 from conftest import path_graph, random_snapshot_pair
@@ -48,6 +55,16 @@ class TestConvergingPair:
         p = ConvergingPair(1, 2, 5, 2)
         with pytest.raises(AttributeError):
             p.d1 = 7
+
+    def test_slotted_copies_keep_equality_and_hash(self):
+        p = ConvergingPair(1, "x", 5, 2)
+        assert not hasattr(p, "__dict__")
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert q is not p
+            assert q == p and hash(q) == hash(p)
+            assert (q.u, q.v, q.d1, q.d2) == (1, "x", 5, 2)
+        assert p != ConvergingPair(1, "x", 5, 3)
+        assert len({p, ConvergingPair(1, "x", 5, 2)}) == 1
 
 
 class TestPairDelta:
@@ -231,3 +248,44 @@ class TestTopK:
         top10 = top_k_converging_pairs(g1, g2, k=10)
         top5 = top_k_converging_pairs(g1, g2, k=5)
         assert [p.pair for p in top5] == [p.pair for p in top10[:5]]
+
+    @pytest.mark.parametrize("engine", ["csr", "dict"])
+    def test_takes_the_callers_pair(self, shortcut_pair, monkeypatch, engine):
+        g1, g2 = shortcut_pair
+        pair = SnapshotPair.from_graphs(g1, g2)
+        expected = top_k_converging_pairs(g1, g2, k=3, engine=engine)
+
+        def no_build(cls, *args):
+            raise AssertionError("built a second pair")
+
+        monkeypatch.setattr(SnapshotPair, "from_graphs", classmethod(no_build))
+        top = top_k_converging_pairs(g1, g2, k=3, engine=engine, pair=pair)
+        assert top == expected
+        with pytest.raises(ValueError, match="other snapshots"):
+            top_k_converging_pairs(
+                g1, g2.copy(), k=3, engine=engine, pair=pair
+            )
+
+
+#: Rows ``(u, v, d1, d2)`` as the collectors return them: mixed id
+#: types (so canonical order falls back to repr), many tied Δs.
+raw_rows = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 30), st.sampled_from(["a", "b", "10"])),
+        st.one_of(st.integers(0, 30), st.sampled_from(["a", "b", "10"])),
+        st.integers(1, 6),
+        st.integers(0, 3),
+    ).filter(lambda row: row[0] != row[1] and row[2] > row[3]),
+    max_size=60,
+)
+
+
+class TestRankedTop:
+    @settings(max_examples=100, deadline=None)
+    @given(raw_rows, st.integers(1, 70))
+    def test_equals_sorting_every_row(self, rows, k):
+        top = _ranked_top(rows, k)
+        assert [(p.u, p.v, p.d1, p.d2) for p in top] == [
+            (p.u, p.v, p.d1, p.d2) for p in _ranked(rows)[:k]
+        ]
+

@@ -20,6 +20,7 @@ from repro.runtime import (
     SupervisorGivingUp,
 )
 from repro.runtime.engine import _materialise
+from repro.service.answers import node_answer
 
 from conftest import random_temporal_graph
 
@@ -561,3 +562,101 @@ class TestCheckpointRecord:
         # Only the digits of seq, consumed and version (and of the key's
         # seq) may grow: 2000 events as JSON rows would add ~40 KB.
         assert max(sizes) - min(sizes) <= 12
+
+
+class TestOnePairPerWindow:
+    """Counts, not time: a window validates its snapshots once and builds
+    one :class:`SnapshotPair`, which its computation and every later
+    read share."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import sys
+
+        from repro.graph import validation
+        from repro.graph.pair import SnapshotPair
+
+        seen = {"check": 0, "build": 0}
+        check = validation.check_snapshot_pair
+
+        def counted_check(g1, g2):
+            seen["check"] += 1
+            return check(g1, g2)
+
+        # Rebind the name wherever a module imported it.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and module is not None and (
+                getattr(module, "check_snapshot_pair", None) is check
+            ):
+                monkeypatch.setattr(
+                    module, "check_snapshot_pair", counted_check
+                )
+        build = SnapshotPair.from_graphs.__func__
+
+        def counted_build(cls, g1, g2):
+            seen["build"] += 1
+            return build(cls, g1, g2)
+
+        monkeypatch.setattr(
+            SnapshotPair, "from_graphs", classmethod(counted_build)
+        )
+        return seen
+
+    def _advance_window_by_window(self, runtime, counts):
+        """Close every window; after each, read it twice.  A window
+        validates only when it tries the direct path (the breaker may
+        send it straight to the fallback), and builds one pair either
+        way."""
+        closed = 0
+        while True:
+            status = runtime.run(max_batches=1).status
+            if len(runtime.windows) != closed:
+                closed = len(runtime.windows)
+                pair = runtime.latest_pair()
+                # The first window's G_t1 is empty: its read finds nothing.
+                u = pair.nodes[0] if pair.nodes else 0
+                assert node_answer(runtime, u)["present"] == bool(pair.nodes)
+                assert runtime.latest_pair() is pair
+                assert counts["build"] == closed
+                assert counts["check"] <= closed
+            if status == "complete":
+                return closed
+
+    @pytest.mark.parametrize("selector", [None, "MMSD"])
+    def test_one_check_and_one_build_per_window(
+        self, tmp_path, stream, counts, selector
+    ):
+        config = RuntimeConfig(
+            k=5, batch_size=6, checkpoint_every=2, selector=selector,
+            m=0 if selector is None else 4,
+        )
+        runtime = StreamRuntime(stream, tmp_path, config, fsync=False)
+        closed = self._advance_window_by_window(runtime, counts)
+        assert closed > 5
+        assert counts == {"check": closed, "build": closed}
+        assert {w.engine for w in runtime.windows} == {
+            "csr" if selector is None else "budgeted"
+        }
+
+    def test_fallback_window_keeps_its_repaired_pair(self, tmp_path, counts):
+        runtime = StreamRuntime(
+            dirty_stream(), tmp_path, RuntimeConfig(k=5, batch_size=6),
+            fsync=False,
+        )
+        closed = self._advance_window_by_window(runtime, counts)
+        fallback = [w for w in runtime.windows if w.engine.endswith("fallback")]
+        assert fallback and counts["build"] == closed
+        pair = runtime.latest_pair()
+        if runtime.windows[-1] in fallback:
+            assert pair.g2 is not runtime.window_snapshots(closed - 1)[1]
+
+    def test_a_reopened_window_builds_its_pair_on_first_read(
+        self, tmp_path, stream, config, counts
+    ):
+        StreamRuntime(stream, tmp_path, config, fsync=False).run()
+        reopened = StreamRuntime(stream, tmp_path, config, fsync=False)
+        before = dict(counts)
+        pair = reopened.latest_pair()
+        assert reopened.latest_pair() is pair
+        assert counts == {"check": before["check"],
+                          "build": before["build"] + 1}
