@@ -14,8 +14,8 @@ graph — the committed baseline records both honestly, and the CI gate in
 ``scripts/check_bench.py`` enforces the floor on the best dataset.
 
 With ``REPRO_WRITE_BENCH`` set, writes the ``BENCH_incremental.json``
-baseline at the repository root, stamped with host provenance following
-the ``BENCH_parallel.json`` pattern.
+baseline at the repository root, stamped with host provenance (CPU
+count, platform, start method).
 """
 
 import json

@@ -4,15 +4,6 @@ Discovers every ``BENCH_*.json`` at the repository root (or takes
 explicit paths), validates each file's schema and host provenance, and
 enforces a per-schema speedup floor on the best recorded speedup:
 
-* ``bench-parallel/v2`` (``BENCH_parallel.json``) — floor 1.3× on the
-  best worker count, and the committed baseline **must** have been
-  measured on a multi-core host (``cpus >= 2``): the shared-memory
-  arena + bit-parallel multi-source BFS make the pool a genuine win, so
-  a single-core baseline is a provenance failure, not an exemption.
-  Also validates the shm provenance counters (segment bytes published,
-  pickled bytes avoided) and the bit-parallel batch speedup.  The v1
-  schema (which skipped the floor on single-core hosts) is retired —
-  see CHANGELOG.md for the migration.
 * ``bench-incremental/v1`` (``BENCH_incremental.json``) — floor 1.3× on
   the best dataset.  The win is algorithmic, so it must exist on any
   host.
@@ -48,39 +39,6 @@ from typing import Callable, Dict, List, Optional
 ROOT = Path(__file__).resolve().parent.parent
 
 _HOST_FIELDS = ("cpus", "platform", "start_method")
-
-
-def _check_parallel(baseline: dict) -> List[str]:
-    problems = []
-    timings = baseline.get("timings_s")
-    if not isinstance(timings, dict) or "workers1" not in timings:
-        problems.append("must time workers=1")
-    elif any(not isinstance(t, (int, float)) or t <= 0
-             for t in timings.values()):
-        problems.append("timings must be positive")
-    elif not any(key != "workers1" for key in timings):
-        problems.append("must time at least one multi-worker pool")
-    shm = baseline.get("shm")
-    if not isinstance(shm, dict):
-        problems.append("shm provenance must be an object")
-    else:
-        # Zero-copy provenance: the segment actually published, and the
-        # per-worker pickled graph state it replaced.
-        for field in ("segment_bytes", "pickled_bytes_avoided"):
-            value = shm.get(field)
-            if not isinstance(value, int) or value <= 0:
-                problems.append(f"shm: bad {field}")
-    batch = baseline.get("batch")
-    if not isinstance(batch, dict):
-        problems.append("batch provenance must be an object")
-    else:
-        width = batch.get("width")
-        if not isinstance(width, int) or width < 1:
-            problems.append("batch: bad width")
-        bspeed = batch.get("speedup")
-        if not isinstance(bspeed, (int, float)) or bspeed <= 0:
-            problems.append("batch: bad speedup")
-    return problems
 
 
 def _check_incremental(baseline: dict) -> List[str]:
@@ -173,38 +131,24 @@ class SchemaSpec:
 
     required: tuple
     default_floor: float
-    #: Pool speedups only exist on multi-core hardware, so schemas that
-    #: measure them must be *recorded* there: a floor-enforced check of
-    #: a 1-cpu baseline fails outright instead of being skipped.
-    require_multicore: bool
     extra_check: Callable[[dict], List[str]]
 
 
 SCHEMAS: Dict[str, SchemaSpec] = {
-    "bench-parallel/v2": SchemaSpec(
-        required=("schema", "dataset", "scale", "nodes", "edges", "host",
-                  "timings_s", "speedup", "shm", "batch"),
-        default_floor=1.3,
-        require_multicore=True,
-        extra_check=_check_parallel,
-    ),
     "bench-incremental/v1": SchemaSpec(
         required=("schema", "scale", "host", "datasets", "speedup"),
         default_floor=1.3,
-        require_multicore=False,
         extra_check=_check_incremental,
     ),
     "bench-prune/v1": SchemaSpec(
         required=("schema", "scale", "k", "host", "datasets", "speedup"),
         default_floor=1.5,
-        require_multicore=False,
         extra_check=_check_prune,
     ),
     "bench-service/v1": SchemaSpec(
         required=("schema", "scale", "host", "latency_ms", "coalescing",
                   "burst", "speedup"),
         default_floor=1.5,
-        require_multicore=False,
         extra_check=_check_service,
     ),
 }
@@ -267,14 +211,6 @@ def check(path: Path, min_speedup: Optional[float],
     )
     if floor is None:
         return 0
-    if spec.require_multicore and cpus < 2:
-        print(
-            f"{path.name}: baseline was recorded on a single-core host; "
-            f"{baseline['schema']} requires a committed baseline measured "
-            f"with cpus >= 2 (regenerate on a multi-core runner)",
-            file=sys.stderr,
-        )
-        return 1
     if best < floor:
         print(
             f"{path.name}: best speedup {best:.2f}x is below the "

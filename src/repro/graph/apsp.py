@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.traversal import bfs_distances, dijkstra_distances
-from repro.parallel import ParallelExecutor, worker_state
 
 Node = Hashable
 
@@ -68,38 +67,8 @@ class DistanceMatrix:
         return int(finite) // 2
 
 
-def _distance_row(
-    graph: Graph, universe: Sequence[Node], index: Dict[Node, int],
-    weighted: bool, i: int,
-) -> np.ndarray:
-    """One SSSP row of the APSP matrix (the unit of parallel work)."""
-    row = np.full(len(universe), np.inf, dtype=np.float32)
-    row[i] = 0.0
-    u = universe[i]
-    if u not in graph:
-        return row
-    dist = (
-        dijkstra_distances(graph, u) if weighted else bfs_distances(graph, u)
-    )
-    for v, d in dist.items():
-        j = index.get(v)
-        if j is not None:
-            row[j] = d
-    return row
-
-
-def _apsp_row_task(i: int) -> np.ndarray:
-    """Worker task: row ``i`` against the installed snapshot state."""
-    state = worker_state()
-    return _distance_row(
-        state["graph"], state["universe"], state["index"], state["weighted"], i
-    )
-
-
 def all_pairs_distances(
-    graph: Graph,
-    nodes: Optional[Iterable[Node]] = None,
-    workers: int = 1,
+    graph: Graph, nodes: Optional[Iterable[Node]] = None
 ) -> DistanceMatrix:
     """Exact APSP by repeated SSSP (BFS if unweighted, Dijkstra otherwise).
 
@@ -112,29 +81,23 @@ def all_pairs_distances(
         ``graph`` get an all-``inf`` row.  This supports measuring ``G_t2``
         distances restricted to ``G_t1``'s node set, which is what the
         converging-pairs ground truth needs.
-    workers:
-        Process-pool size for the row fan-out (1 = serial).  Each worker
-        deserialises the graph once; the matrix is bit-identical at any
-        worker count.
     """
     universe = list(nodes) if nodes is not None else list(graph.nodes())
     index = {u: i for i, u in enumerate(universe)}
     n = len(universe)
     weighted = graph.is_weighted()
-    if workers > 1 and n:
-        executor = ParallelExecutor(
-            workers,
-            state={
-                "graph": graph, "universe": universe,
-                "index": index, "weighted": weighted,
-            },
+    matrix = np.full((n, n), np.inf, dtype=np.float32)
+    for i, u in enumerate(universe):
+        matrix[i, i] = 0.0
+        if u not in graph:
+            continue
+        dist = (
+            dijkstra_distances(graph, u) if weighted else bfs_distances(graph, u)
         )
-        rows = executor.map(_apsp_row_task, range(n), unit="apsp.rows")
-        matrix = np.stack(rows)
-    else:
-        matrix = np.full((n, n), np.inf, dtype=np.float32)
-        for i in range(n):
-            matrix[i] = _distance_row(graph, universe, index, weighted, i)
+        for v, d in dist.items():
+            j = index.get(v)
+            if j is not None:
+                matrix[i, j] = d
     return DistanceMatrix(universe, matrix)
 
 

@@ -169,53 +169,17 @@ def bfs_distances_fast(graph: Graph, source: Node) -> Dict[Node, int]:
     return {csr.nodes[i]: int(levels[i]) for i in reached}
 
 
-def _levels_block_task(span: "tuple[int, int]") -> np.ndarray:
-    """Worker task: a contiguous block of level rows via multi-source BFS.
-
-    Reads the shared CSR view (attached, not unpickled, when the arena
-    is active) and advances the whole ``[start, stop)`` source span with
-    bit-packed frontiers.
-    """
-    from repro.graph.msbfs import msbfs_levels
-    from repro.parallel import worker_state
-
-    state = worker_state()
-    start, stop = span
-    return msbfs_levels(
-        state["csr"], range(start, stop), batch_size=state["batch"]
-    )
-
-
-def all_sources_levels(csr: CSRGraph, workers: int = 1) -> np.ndarray:
+def all_sources_levels(csr: CSRGraph) -> np.ndarray:
     """Dense all-pairs level matrix (``UNREACHED`` off-component).
 
     ``O(n)`` memory per row is materialised all at once — intended for
     the catalog-scale ground-truth pass, not million-node graphs.  Rows
     advance through the bit-parallel multi-source kernel
-    (:func:`repro.graph.msbfs.msbfs_levels`, 64 sources per sweep);
-    ``workers > 1`` fans contiguous source spans across a process pool
-    whose workers attach the CSR arrays from a shared-memory arena.  The
-    matrix is bit-identical at any worker count and batch width.
+    (:func:`repro.graph.msbfs.msbfs_levels`, 64 sources per sweep).
     """
     from repro.graph.msbfs import DEFAULT_BATCH, msbfs_levels
 
     n = csr.num_nodes
     if n == 0:
         return np.empty((0, 0), dtype=np.int32)
-    if workers > 1:
-        from repro.parallel import ParallelExecutor, derive_run_id
-
-        spans = [
-            (start, min(start + DEFAULT_BATCH, n))
-            for start in range(0, n, DEFAULT_BATCH)
-        ]
-        executor = ParallelExecutor(
-            workers,
-            state={"csr": csr, "batch": DEFAULT_BATCH},
-            shm_run_id=derive_run_id(
-                "apsp.levels", n, int(csr.indices.size), DEFAULT_BATCH
-            ),
-        )
-        blocks = executor.map(_levels_block_task, spans, unit="apsp.levels")
-        return np.concatenate(blocks, axis=0)
     return msbfs_levels(csr, range(n), batch_size=DEFAULT_BATCH)

@@ -21,11 +21,11 @@ so a single sweep advances every traversal in the batch at once —
 
 Pulling equals pushing each frontier word to its neighbours because
 every :class:`~repro.graph.csr.CSRGraph` is symmetric: ``from_graph``
-freezes an undirected :class:`~repro.graph.graph.Graph`, a restricted
-universe drops both directions of an edge, and the shared-memory arena
-only re-attaches those arrays.  A lane bit is fresh at exactly one
-depth — it leaves ``unseen`` at once — so the planes hold each reached
-pair's level exactly, and a lane still in ``unseen`` is ``UNREACHED``.
+freezes an undirected :class:`~repro.graph.graph.Graph`, and a
+restricted universe drops both directions of an edge.  A lane bit is
+fresh at exactly one depth — it leaves ``unseen`` at once — so the
+planes hold each reached pair's level exactly, and a lane still in
+``unseen`` is ``UNREACHED``.
 
 BFS levels do not depend on visit order within a level, so the output is
 **bit-identical** to running :func:`~repro.graph.csr.bfs_levels` once per

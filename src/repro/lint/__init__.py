@@ -24,7 +24,6 @@ R010    uncharged-reachable-sssp        no uncharged call path API -> traversal
 R011    frozen-view-mutation            engine-returned arrays are never written
 R012    nondeterminism-reaches-output   entropy never reaches keys/WAL/rankings
 R013    cross-process-capture           worker tasks read no parent globals
-R014    nondeterministic-shm-...-name   shm segment names derive from the seed
 ======  ==============================  =======================================
 
 Run ``repro lint`` (or ``python -m repro.lint``); see

@@ -1,4 +1,4 @@
-"""R007/R008/R014: checkpoint, pool-task, and shm-identity contracts.
+"""R007/R008: checkpoint and pool-task contracts.
 
 R007 guards the resume contract: a checkpoint's identity may contain
 only value-determining knobs, never execution-only ones (worker count,
@@ -9,22 +9,14 @@ R008 guards the process-pool contract: task functions cross a process
 boundary, so they must be importable module-level functions; a lambda
 or a closure pickles under ``fork`` by accident and then breaks the
 moment ``spawn`` is the start method (macOS/Windows CI).
-
-R014 (R008's companion for the shared-memory arena) guards segment
-identity: a shm segment name must derive from the seeded run id
-(:func:`repro.parallel.shm.derive_run_id`), never from wall-clock time,
-``uuid``, or the parent's pid — a clock/pid-named segment breaks replay
-determinism and, worse, collides across pid-recycled or clock-stepped
-runs while the deterministic prober cannot see the conflict coming
-(docs/parallel.md).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List, Set
 
-from repro.lint.context import FileContext, dotted_name
+from repro.lint.context import FileContext
 from repro.lint.registry import rule
 from repro.lint.violation import Violation
 
@@ -168,141 +160,4 @@ def check_parallel_task_picklable(ctx: FileContext) -> Iterator[Violation]:
                     f"closure {arg.id}() passed as a ParallelExecutor "
                     f"task; hoist it to module level so it pickles under "
                     f"spawn",
-                )
-
-
-#: Call targets whose values change per run — the clock, uuids, process
-#: ids.  A shm identity built from any of these cannot replay and may
-#: collide in ways the deterministic suffix prober cannot anticipate.
-_NONDET_SOURCES = frozenset({
-    "time.time", "time.time_ns",
-    "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "uuid.uuid1", "uuid.uuid4",
-    "os.getpid", "os.getppid",
-})
-
-#: Functions that construct shm identities: *any* argument is part of
-#: the identity, so taint in any position is a violation.
-_SHM_ID_BUILDERS = frozenset({"derive_run_id", "segment_name"})
-
-
-def _call_tail(ctx: FileContext, call: ast.Call) -> str:
-    """Last component of the (resolved, else literal) callee name."""
-    resolved = ctx.imports.resolve_node(call.func)
-    if resolved:
-        return resolved.rpartition(".")[2]
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
-
-
-def _is_nondet_call(ctx: FileContext, node: ast.Call) -> bool:
-    name = ctx.imports.resolve_node(node.func) or dotted_name(node.func) or ""
-    return name in _NONDET_SOURCES
-
-
-def _contains_taint(
-    ctx: FileContext, node: ast.AST, tainted: Set[str]
-) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and _is_nondet_call(ctx, sub):
-            return True
-        if (
-            isinstance(sub, ast.Name)
-            and isinstance(sub.ctx, ast.Load)
-            and sub.id in tainted
-        ):
-            return True
-    return False
-
-
-def _tainted_names(ctx: FileContext) -> Set[str]:
-    """Names assigned (transitively) from a nondeterministic source."""
-    tainted: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            if not _contains_taint(ctx, node.value, tainted):
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id not in tainted:
-                    tainted.add(target.id)
-                    changed = True
-    return tainted
-
-
-def _shm_sink_args(
-    ctx: FileContext, call: ast.Call
-) -> "List[Tuple[ast.AST, str]]":
-    """``(expr, sink description)`` pairs naming a shm segment in ``call``."""
-    tail = _call_tail(ctx, call)
-    func = call.func
-    out: List = []
-    if tail == "ParallelExecutor":
-        out.extend(
-            (kw.value, "ParallelExecutor(shm_run_id=...)")
-            for kw in call.keywords
-            if kw.arg == "shm_run_id"
-        )
-    elif isinstance(func, ast.Attribute) and func.attr in (
-        "publish", "maybe_publish"
-    ):
-        base = func.value
-        base_name = base.id if isinstance(base, ast.Name) else (
-            base.attr if isinstance(base, ast.Attribute) else (
-                ctx.imports.resolve_node(base) or ""
-            )
-        )
-        if "arena" in base_name.lower() or "SharedCsrArena" in (
-            ctx.imports.resolve_node(base) or base_name
-        ):
-            out.extend(
-                (kw.value, f"SharedCsrArena.{func.attr}(run_id=...)")
-                for kw in call.keywords
-                if kw.arg == "run_id"
-            )
-    elif tail == "SharedMemory":
-        if call.args:
-            out.append((call.args[0], "SharedMemory(name=...)"))
-        out.extend(
-            (kw.value, "SharedMemory(name=...)")
-            for kw in call.keywords
-            if kw.arg == "name"
-        )
-    elif tail in _SHM_ID_BUILDERS:
-        out.extend((arg, f"{tail}(...)") for arg in call.args)
-        out.extend((kw.value, f"{tail}(...)") for kw in call.keywords)
-    return out
-
-
-@rule(
-    "R014",
-    "nondeterministic-shm-segment-name",
-    summary="clock/uuid/pid value flows into a shm segment identity",
-    invariant="Shared-memory segment names derive from the seeded run id "
-              "(repro.parallel.shm.derive_run_id), never from wall-clock "
-              "time, uuid, or the parent's pid — replay determinism and "
-              "collision-safe deterministic probing both depend on it "
-              "(docs/parallel.md).",
-)
-def check_shm_segment_identity(ctx: FileContext) -> Iterator[Violation]:
-    tainted = _tainted_names(ctx)
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        for expr, where in _shm_sink_args(ctx, node):
-            if _contains_taint(ctx, expr, tainted):
-                yield ctx.violation(
-                    expr, "R014",
-                    f"nondeterministic value (clock/uuid/pid) flows into "
-                    f"{where}; build shm segment identity from the seeded "
-                    f"run id instead",
                 )

@@ -1,8 +1,10 @@
 """R011: arrays handed out by the graph engine are frozen views.
 
-Zero-copy shared-memory workers (ROADMAP item 1) only stay sound if
-nothing downstream writes through a CSR or level array the engine
-returned: those buffers are (or will be) shared pages.  The rule
+A runtime window keeps one :class:`~repro.graph.pair.SnapshotPair`
+(``_KeptWindow.pair`` in :mod:`repro.runtime.engine`), and every later
+read of that window — its top-k, each ``node`` answer — uses that
+pair's CSR arrays, so a write through a CSR or level array the engine
+returned would change every later answer of the window.  The rule
 taints every value produced by ``repro.graph.csr`` /
 ``repro.graph.incremental`` and flags any in-place write reached
 without an explicit ``.copy()`` (or another materializing call) in

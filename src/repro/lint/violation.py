@@ -19,7 +19,7 @@ class Violation:
     line: int
     #: 0-based column of the offending node.
     col: int
-    #: Rule code (``R001`` ... ``R014``).
+    #: Rule code (``R001`` ... ``R013``).
     code: str
     #: Human-readable description of the breach.
     message: str

@@ -1,16 +1,14 @@
-"""Parallel SSSP execution layer.
+"""Process-pool execution layer for experiment sweeps.
 
 One executor (:class:`~repro.parallel.executor.ParallelExecutor`) fans
-independent work items — APSP rows, per-candidate SSSP batches, coverage
-cells — across a process pool with **bit-identical results to serial
-execution** at any worker count or chunk size.  CSR-backed worker state
-travels zero-copy through a :class:`~repro.parallel.shm.SharedCsrArena`
-(one shared-memory segment per pool, read-only views per worker) instead
-of being pickled per worker.  The drivers live next to the code they
-accelerate (:mod:`repro.graph.apsp`, :mod:`repro.graph.csr`,
-:mod:`repro.core.algorithm`, :mod:`repro.experiments.runner`); this
-package provides the shared machinery.  See ``docs/parallel.md`` for the
-worker model, the arena lifecycle, and the determinism guarantees.
+independent work items across a process pool with **bit-identical
+results to serial execution** at any worker count or chunk size.  Its
+one driver is :func:`repro.experiments.runner.coverage_cells`, where a
+whole coverage cell is the unit of work; row-level work (APSP rows,
+level blocks, Algorithm 1's SSSP batches) costs less serially than a
+pool bring-up and runs in the calling process.  See
+``docs/parallel.md`` for the worker model and the determinism
+guarantees.
 """
 
 from repro.parallel.executor import (
@@ -19,20 +17,10 @@ from repro.parallel.executor import (
     in_worker,
     worker_state,
 )
-from repro.parallel.shm import (
-    SharedCsrArena,
-    attach_state,
-    derive_run_id,
-    leaked_segments,
-)
 
 __all__ = [
     "ParallelExecutor",
-    "SharedCsrArena",
-    "attach_state",
     "available_start_method",
-    "derive_run_id",
     "in_worker",
-    "leaked_segments",
     "worker_state",
 ]

@@ -1,10 +1,10 @@
 """Process-pool execution layer with a bit-identical serial fallback.
 
 Every number the reproduction emits bottoms out in repeated independent
-SSSP runs (ground-truth APSP rows, per-candidate top-k batches, coverage
-cells).  :class:`ParallelExecutor` fans such embarrassingly-parallel
-item lists out across a ``concurrent.futures.ProcessPoolExecutor`` while
-guaranteeing results **equal to serial execution**:
+SSSP runs, and an experiment sweep holds many independent coverage
+cells of them.  :class:`ParallelExecutor` fans such item lists out
+across a ``concurrent.futures.ProcessPoolExecutor`` while guaranteeing
+results **equal to serial execution**:
 
 * items are split into contiguous chunks and submitted in order; results
   are reassembled by chunk index, so the output order never depends on
@@ -15,10 +15,10 @@ guaranteeing results **equal to serial execution**:
 * ``workers=1`` (and any platform without a usable multiprocessing start
   method) runs the exact same per-item loop in-process, with no pool.
 
-Worker-side state (a deserialised graph snapshot, a frozen config) is
-installed once per worker through the pool initializer — each worker
-unpickles it a single time, not per task.  Task functions are plain
-module-level functions that read it back via :func:`worker_state`.
+Worker-side state (a frozen config) is installed once per worker
+through the pool initializer — each worker unpickles it a single time,
+not per task.  Task functions are plain module-level functions that
+read it back via :func:`worker_state`.
 
 Failure semantics integrate with :mod:`repro.resilience`: a chunk whose
 worker crashes (or whose future raises) is recomputed *serially in the
@@ -48,9 +48,9 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Preference order for multiprocessing start methods.  ``fork`` shares
-#: the parent's memory image (cheapest by far for large graph state);
-#: ``spawn`` re-imports and unpickles, which the initializer protocol
-#: supports on platforms without fork (macOS, Windows).
+#: the parent's memory image (the cheapest bring-up); ``spawn``
+#: re-imports and unpickles, which the initializer protocol supports on
+#: platforms without fork (macOS, Windows).
 _START_METHODS = ("fork", "spawn")
 
 # ----------------------------------------------------------------------
@@ -85,21 +85,6 @@ def _pool_init(state: Dict[str, Any]) -> None:
     global _IN_WORKER
     _IN_WORKER = True
     _install_state(state)
-
-
-def _pool_init_shm(payload: Any) -> None:
-    """Pool initializer for arena-backed state: attach, don't unpickle.
-
-    ``payload`` is a :data:`repro.parallel.shm.WorkerPayload` — the tiny
-    manifest plus the plain (non-array) remainder of the state; the
-    graph arrays themselves are mapped read-only from the parent's
-    shared-memory segment.
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
-    from repro.parallel.shm import attach_state
-
-    _install_state(attach_state(payload))
 
 
 def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> List[R]:
@@ -149,13 +134,6 @@ class ParallelExecutor:
     sleep:
         Injectable sleep passed to the retry policy during degraded
         recomputation, so tests never wall-clock-wait.
-    shm_run_id:
-        Seeded run id (see :func:`repro.parallel.shm.derive_run_id`)
-        enabling the shared-memory arena: the state's CSR / delta /
-        plan / ndarray values are published into one shm segment per
-        pool and workers attach read-only views instead of receiving
-        the arrays by value.  ``None`` (default) ships the state the
-        classic way.  Results are bit-identical either way.
     """
 
     def __init__(
@@ -168,7 +146,6 @@ class ParallelExecutor:
         fault_injector: Optional[FaultInjector] = None,
         start_method: Optional[str] = None,
         sleep: Optional[Callable[[float], None]] = None,
-        shm_run_id: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -181,7 +158,6 @@ class ParallelExecutor:
         self.start_method = start_method or os.environ.get(
             "REPRO_PARALLEL_START_METHOD"
         )
-        self.shm_run_id = shm_run_id
         self._state = dict(state) if state else {}
         self._sleep = sleep
         #: ``{"chunk": index, "items": count, "error": "Type: msg"}`` per
@@ -258,78 +234,48 @@ class ParallelExecutor:
         degraded: List[int] = []
         context = multiprocessing.get_context(method)
 
-        arena = None
-        initializer: Callable[..., None] = _pool_init
-        initargs: tuple = (self._state,)
-        if self.shm_run_id is not None:
-            from repro.parallel.shm import SharedCsrArena
-
-            arena = SharedCsrArena.maybe_publish(
-                self._state, run_id=self.shm_run_id
-            )
-            if arena is not None:
-                initializer = _pool_init_shm
-                initargs = (arena.worker_payload(),)
-                log_event(
-                    "parallel.shm_published",
-                    unit=unit,
-                    bytes=arena.segment_bytes,
-                    arrays=len(arena.manifest.arrays),
-                )
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(chunks)),
-                mp_context=context,
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                pending = {}
-                for index, chunk in enumerate(chunks):
-                    try:
-                        if self.fault_injector is not None:
-                            self.fault_injector.check(unit=f"{unit}[chunk={index}]")
-                        pending[index] = pool.submit(_run_chunk, fn, chunk)
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    # reprolint: disable=R006 -- routed to resilience.events: _record_failure emits a parallel.degraded log_event
-                    except Exception as exc:
-                        self._record_failure(index, len(chunk), exc, unit)
-                        degraded.append(index)
-                for index in sorted(pending):
-                    try:
-                        results[index] = pending[index].result()
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    # reprolint: disable=R006 -- routed to resilience.events: _record_failure emits a parallel.degraded log_event
-                    except (BrokenProcessPool, Exception) as exc:
-                        self._record_failure(index, len(chunks[index]), exc, unit)
-                        degraded.append(index)
-                    else:
-                        # Liveness beacon: supervisors subscribe to this to
-                        # heartbeat a pool that is making progress (see
-                        # repro.runtime.supervisor.HeartbeatMonitor).
-                        log_event(
-                            "parallel.chunk_done",
-                            unit=unit,
-                            chunk=index,
-                            items=len(chunks[index]),
-                        )
-
-            if degraded:
-                # The in-parent fallback reads the *same* attached views
-                # the workers did: degradation must not silently
-                # reintroduce the copy cost the arena removed.
-                _install_state(
-                    arena.parent_state() if arena is not None
-                    else self._state
-                )
-                for index in sorted(degraded):
-                    results[index] = self._recompute(
-                        fn, chunks[index], unit, index
+        with ProcessPoolExecutor(
+            max_workers=min(self.workers, len(chunks)),
+            mp_context=context,
+            initializer=_pool_init,
+            initargs=(self._state,),
+        ) as pool:
+            pending = {}
+            for index, chunk in enumerate(chunks):
+                try:
+                    if self.fault_injector is not None:
+                        self.fault_injector.check(unit=f"{unit}[chunk={index}]")
+                    pending[index] = pool.submit(_run_chunk, fn, chunk)
+                except (KeyboardInterrupt, SystemExit):
+                    raise
+                # reprolint: disable=R006 -- routed to resilience.events: _record_failure emits a parallel.degraded log_event
+                except Exception as exc:
+                    self._record_failure(index, len(chunk), exc, unit)
+                    degraded.append(index)
+            for index in sorted(pending):
+                try:
+                    results[index] = pending[index].result()
+                except (KeyboardInterrupt, SystemExit):
+                    raise
+                # reprolint: disable=R006 -- routed to resilience.events: _record_failure emits a parallel.degraded log_event
+                except (BrokenProcessPool, Exception) as exc:
+                    self._record_failure(index, len(chunks[index]), exc, unit)
+                    degraded.append(index)
+                else:
+                    # Liveness beacon: supervisors subscribe to this to
+                    # heartbeat a pool that is making progress (see
+                    # repro.runtime.supervisor.HeartbeatMonitor).
+                    log_event(
+                        "parallel.chunk_done",
+                        unit=unit,
+                        chunk=index,
+                        items=len(chunks[index]),
                     )
-        finally:
-            if arena is not None:
-                arena.destroy()
+
+        if degraded:
+            _install_state(self._state)
+            for index in sorted(degraded):
+                results[index] = self._recompute(fn, chunks[index], unit, index)
 
         out: List[R] = []
         for chunk_result in results:

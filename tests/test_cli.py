@@ -20,7 +20,8 @@ def test_parser_leaves_the_lint_analyzer_unloaded():
 
 
 def test_scipy_loads_only_when_a_model_is_fit():
-    """`import repro` brings in `repro.ml`, but only a fit imports scipy."""
+    """`import repro` brings in `repro.ml`, but only a fit imports scipy;
+    the query paths load no process pool either."""
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -28,13 +29,16 @@ def test_scipy_loads_only_when_a_model_is_fit():
         "repro.service\n"
         "repro.cli.build_parser()\n"
         "print('scipy' in sys.modules)\n"
+        "print([m for m in ('repro.parallel', 'multiprocessing', "
+        "'multiprocessing.shared_memory', 'concurrent.futures.process') "
+        "if m in sys.modules])\n"
         "from repro.ml import LogisticRegression\n"
         "LogisticRegression().fit(np.array([[0.0], [1.0]]), np.array([0, 1]))\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
     completed = subprocess.run([sys.executable, "-c", code],
                                capture_output=True, text=True, check=True)
-    assert completed.stdout == "False\nTrue\n"
+    assert completed.stdout == "False\n[]\nTrue\n"
 
 
 class TestListing:

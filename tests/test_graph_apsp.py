@@ -64,11 +64,29 @@ class TestDistanceMatrix:
         assert dm.distance(7, 7) == 0
         assert math.isinf(dm.distance(0, 7))
 
-    @pytest.mark.parametrize("seed", [21, 22])
-    def test_matches_networkx(self, seed):
-        g, _ = random_snapshot_pair(num_nodes=30, num_edges=60, seed=seed)
+    @pytest.mark.parametrize(
+        "seed, num_nodes, num_edges, weighted",
+        [
+            (21, 30, 60, False), (22, 30, 60, False),
+            (0, 40, 90, False), (1, 40, 90, False), (2, 40, 90, False),
+            (3, 25, 60, True),
+        ],
+        ids=["21", "22", "0", "1", "2", "weighted"],
+    )
+    def test_matches_networkx(self, seed, num_nodes, num_edges, weighted):
+        g, _ = random_snapshot_pair(
+            num_nodes=num_nodes, num_edges=num_edges, seed=seed
+        )
+        if weighted:
+            # Integer weights keep Dijkstra's float32 sums exact.
+            rng = np.random.default_rng(seed)
+            unit, g = g, Graph()
+            for u, v in unit.edges():
+                g.add_edge(u, v, float(rng.integers(1, 5)))
+            expected = dict(nx.all_pairs_dijkstra_path_length(to_networkx(g)))
+        else:
+            expected = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
         dm = all_pairs_distances(g)
-        expected = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
         for u in g.nodes():
             for v in g.nodes():
                 exp = expected[u].get(v, math.inf)

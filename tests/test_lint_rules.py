@@ -29,10 +29,10 @@ def codes(violations) -> list:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-def test_all_fourteen_rules_registered():
+def test_all_rules_registered():
     assert [r.code for r in all_rules()] == [
         "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
-        "R009", "R010", "R011", "R012", "R013", "R014",
+        "R009", "R010", "R011", "R012", "R013",
     ]
     for r in all_rules():
         assert r.invariant  # every rule documents what it protects
@@ -43,7 +43,7 @@ def test_all_fourteen_rules_registered():
     assert all(
         scopes[code] == "file"
         for code in ("R001", "R002", "R003", "R004", "R005", "R006", "R007",
-                     "R008", "R009", "R014")
+                     "R008", "R009")
     )
 
 
@@ -448,80 +448,6 @@ def test_r008_passes_module_level_task():
             return executor.map(_task, items)
     """)
     assert found == []
-
-
-# ----------------------------------------------------------------------
-# R014 — nondeterministic shm segment names (R008's shm companion)
-# ----------------------------------------------------------------------
-def test_r014_flags_clock_derived_shm_run_id():
-    found = lint("""
-        import time
-        from repro.parallel import ParallelExecutor
-        def run(state):
-            run_id = f"run-{time.time()}"
-            return ParallelExecutor(4, state=state, shm_run_id=run_id)
-    """)
-    # R002 independently flags the clock read; R014 flags the flow into
-    # the segment identity.
-    assert "R014" in codes(found)
-
-
-def test_r014_flags_pid_in_derive_run_id():
-    found = lint("""
-        import os
-        from repro.parallel import derive_run_id
-        def run(seed):
-            return derive_run_id("topk", seed, os.getpid())
-    """)
-    assert codes(found) == ["R014"]
-
-
-def test_r014_flags_pid_named_shared_memory():
-    found = lint("""
-        import os
-        from multiprocessing import shared_memory
-        def open_segment():
-            return shared_memory.SharedMemory(
-                name=f"repro_{os.getpid()}", create=True, size=64
-            )
-    """)
-    assert codes(found) == ["R014"]
-
-
-def test_r014_flags_uuid_in_arena_publish():
-    found = lint("""
-        import uuid
-        from repro.parallel import SharedCsrArena
-        def publish(state):
-            arena = SharedCsrArena.maybe_publish(
-                state, run_id=uuid.uuid4().hex
-            )
-            return arena
-    """)
-    assert codes(found) == ["R014"]
-
-
-def test_r014_passes_seeded_run_id():
-    found = lint("""
-        from repro.parallel import ParallelExecutor, SharedCsrArena, derive_run_id
-        def run(state, seed, k):
-            rid = derive_run_id("topk.sssp", seed, k)
-            arena = SharedCsrArena.maybe_publish(state, run_id=rid)
-            return ParallelExecutor(4, state=state, shm_run_id=rid), arena
-    """)
-    assert found == []
-
-
-def test_r014_taint_propagates_through_assignment_chain():
-    found = lint("""
-        import os
-        from repro.parallel import ParallelExecutor
-        def run(state):
-            pid = os.getpid()
-            run_id = f"run-{pid}"
-            return ParallelExecutor(4, state=state, shm_run_id=run_id)
-    """)
-    assert codes(found) == ["R014"]
 
 
 # ----------------------------------------------------------------------

@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 
-import numpy as np
 import pytest
 
-from conftest import random_snapshot_pair
 from repro.experiments import ExperimentConfig
 from repro.experiments import runner
 from repro.experiments.runner import coverage_cells
-from repro.graph import apsp
-from repro.graph.apsp import all_pairs_distances
 from repro.parallel import ParallelExecutor, in_worker
 from repro.resilience import (
     FaultInjector,
@@ -41,9 +38,15 @@ def _plus_one(x: int) -> int:
     return x + 1
 
 
-def _crash_worker_on_seven(x: int) -> int:
+def _exit_worker_on_seven(x: int) -> int:
     if x == 7 and in_worker():
-        os._exit(13)  # simulate a hard worker death (OOM-killer style)
+        os._exit(13)  # the worker dies without unwinding
+    return x + 1
+
+
+def _kill_worker_on_seven(x: int) -> int:
+    if x == 7 and in_worker():
+        os.kill(os.getpid(), signal.SIGKILL)  # OOM-killer style
     return x + 1
 
 
@@ -92,13 +95,16 @@ class TestChunkDegradation:
         ]
 
     def test_real_worker_crash_degrades_to_serial(self):
+        # A dead worker breaks the whole pool, so how many chunks degrade
+        # depends on timing and start method; only the output may not.
         items = list(range(12))
-        executor = ParallelExecutor(2, chunk_size=3)
-        with capture_events() as events:
-            result = executor.map(_crash_worker_on_seven, items, unit="crash")
-        assert result == [x + 1 for x in items]
-        assert executor.failed_chunks  # the crashed chunk is reported
-        assert any(e[0] == "parallel.degraded" for e in events)
+        for task in (_exit_worker_on_seven, _kill_worker_on_seven):
+            executor = ParallelExecutor(2, chunk_size=3)
+            with capture_events() as events:
+                result = executor.map(task, items, unit="crash")
+            assert result == [x + 1 for x in items]
+            assert executor.failed_chunks  # the crashed chunk is reported
+            assert any(e[0] == "parallel.degraded" for e in events)
 
     def test_seeded_fail_rate_is_reproducible(self):
         items = list(range(20))
@@ -112,28 +118,6 @@ class TestChunkDegradation:
             outcomes.append((result, executor.failed_chunks))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == [x + 1 for x in items]
-
-
-class TestAPSPUnderFaults:
-    def test_degraded_apsp_matches_serial(self):
-        g, _ = random_snapshot_pair(num_nodes=30, num_edges=70, seed=20)
-        serial = all_pairs_distances(g)
-        universe = list(g.nodes())
-        executor = ParallelExecutor(
-            2,
-            state={
-                "graph": g, "universe": universe,
-                "index": {u: i for i, u in enumerate(universe)},
-                "weighted": False,
-            },
-            chunk_size=5,
-            fault_injector=FaultInjector(FaultPlan(fail_nth=(1, 3))),
-        )
-        rows = executor.map(
-            apsp._apsp_row_task, range(len(universe)), unit="apsp.rows"
-        )
-        assert len(executor.failed_chunks) == 2
-        assert np.array_equal(np.stack(rows), serial.matrix)
 
 
 # ----------------------------------------------------------------------

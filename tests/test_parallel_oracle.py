@@ -1,18 +1,20 @@
-"""Differential-oracle tests for the parallel SSSP execution layer.
+"""Differential-oracle tests for the parallel execution layer.
 
-Every parallel driver must produce results **equal to serial execution**
-(bit-identical matrices, identical pair lists and budget ledgers, and —
-at the report level — byte-identical exports) across worker counts, and
-both must agree with the networkx oracle on seeded random graphs.
+The executor and its one driver, the experiment coverage cells, must
+produce results **equal to serial execution** (identical cell values
+and checkpoint keys, and — at the report level — byte-identical
+exports) across worker counts and start methods.  Algorithm 1 and the
+ground-truth engine run in the calling process; their networkx oracle
+checks live here too.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 
 import networkx as nx
-import numpy as np
 import pytest
 
 from conftest import random_snapshot_pair, to_networkx
@@ -22,8 +24,6 @@ from repro.core.pairs import top_k_converging_pairs
 from repro.experiments import ExperimentConfig, result_to_dict
 from repro.experiments import table5
 from repro.experiments.runner import coverage_cells
-from repro.graph.apsp import all_pairs_distances
-from repro.graph.csr import CSRGraph, all_sources_levels
 from repro.parallel import ParallelExecutor, worker_state
 from repro.selection import get_selector
 
@@ -50,11 +50,18 @@ def _fail_on_negative(x: int) -> int:
 
 class TestParallelExecutor:
     def test_results_in_input_order(self):
+        # Both pool bring-ups: fork inherits the state, spawn unpickles
+        # it in each worker's initializer.
         items = [9, 1, 7, 3, 0, 5, 2, 8]
-        expected = [x * x for x in items]
-        for workers in WORKER_COUNTS:
-            executor = ParallelExecutor(workers)
-            assert executor.map(_offset_square, items) == expected
+        expected = [x * x + 1 for x in items]
+        for method in ("fork", "spawn"):
+            if method not in multiprocessing.get_all_start_methods():
+                continue
+            for workers in WORKER_COUNTS:
+                executor = ParallelExecutor(
+                    workers, state={"offset": 1}, start_method=method
+                )
+                assert executor.map(_offset_square, items) == expected
 
     def test_chunk_size_never_changes_results(self):
         items = list(range(17))
@@ -86,59 +93,12 @@ class TestParallelExecutor:
         with pytest.raises(ValueError):
             ParallelExecutor(2, chunk_size=0)
 
-
-# ----------------------------------------------------------------------
-# APSP: parallel == serial == networkx
-# ----------------------------------------------------------------------
-class TestAPSPOracle:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_unweighted_matrix_identical_and_matches_networkx(self, seed):
-        g, _ = random_snapshot_pair(num_nodes=40, num_edges=90, seed=seed)
-        serial = all_pairs_distances(g)
-        for workers in WORKER_COUNTS:
-            parallel = all_pairs_distances(g, workers=workers)
-            assert parallel.nodes == serial.nodes
-            assert np.array_equal(parallel.matrix, serial.matrix)
-        oracle = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
-        for u in serial.nodes:
-            for v in serial.nodes:
-                expected = oracle[u].get(v, float("inf"))
-                assert serial.distance(u, v) == expected
-
-    def test_weighted_matrix_identical_and_matches_networkx(self):
-        g, _ = random_snapshot_pair(num_nodes=25, num_edges=60, seed=3)
-        rng = np.random.default_rng(3)
-        weighted = type(g)()
-        for u, v in g.edges():
-            weighted.add_edge(u, v, float(rng.integers(1, 5)))
-        serial = all_pairs_distances(weighted)
-        for workers in WORKER_COUNTS[1:]:
-            parallel = all_pairs_distances(weighted, workers=workers)
-            assert np.array_equal(parallel.matrix, serial.matrix)
-        oracle = dict(
-            nx.all_pairs_dijkstra_path_length(to_networkx(weighted))
-        )
-        for u in serial.nodes:
-            for v in serial.nodes:
-                expected = oracle[u].get(v, float("inf"))
-                assert serial.distance(u, v) == pytest.approx(expected)
-
-    def test_restricted_universe_identical(self):
-        g1, g2 = random_snapshot_pair(num_nodes=40, num_edges=90, seed=4)
-        nodes = list(g1.nodes())
-        serial = all_pairs_distances(g2, nodes=nodes)
-        for workers in WORKER_COUNTS[1:]:
-            parallel = all_pairs_distances(g2, nodes=nodes, workers=workers)
-            assert np.array_equal(parallel.matrix, serial.matrix)
-
-    def test_all_sources_levels_identical(self):
-        g, _ = random_snapshot_pair(num_nodes=50, num_edges=110, seed=5)
-        csr = CSRGraph.from_graph(g)
-        serial = all_sources_levels(csr)
-        for workers in WORKER_COUNTS[1:]:
-            assert np.array_equal(
-                all_sources_levels(csr, workers=workers), serial
-            )
+    def test_env_start_method_is_respected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_START_METHOD", "spawn")
+        executor = ParallelExecutor(2, state={"x": 1})
+        assert executor.start_method == "spawn"
+        monkeypatch.delenv("REPRO_PARALLEL_START_METHOD")
+        assert ParallelExecutor(2).start_method is None
 
 
 # ----------------------------------------------------------------------

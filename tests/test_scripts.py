@@ -116,7 +116,7 @@ class TestCheckBench:
 
     def test_discovers_all_committed_baselines(self, checker):
         names = {p.name for p in checker.discover()}
-        assert {"BENCH_incremental.json", "BENCH_parallel.json"} <= names
+        assert {"BENCH_incremental.json", "BENCH_service.json"} <= names
 
     def test_incremental_floor_violation_fails(self, checker, tmp_path):
         import json
@@ -138,80 +138,15 @@ class TestCheckBench:
         path.write_text(json.dumps(baseline))
         assert checker.main([str(path)]) == 1
 
-    @staticmethod
-    def _parallel_baseline(best=2.0, cpus=4):
-        return {
-            "schema": "bench-parallel/v2",
-            "dataset": "internet",
-            "scale": 0.5,
-            "nodes": 1090,
-            "edges": 1474,
-            "host": {
-                "cpus": cpus, "platform": "linux", "start_method": "fork",
-            },
-            "timings_s": {
-                "workers1": 0.06,
-                "workers2": round(0.06 / max(best - 0.4, 0.1), 6),
-                "workers4": round(0.06 / best, 6),
-            },
-            "speedup": {
-                "workers2": round(max(best - 0.4, 0.1), 3),
-                "workers4": best,
-            },
-            "shm": {"segment_bytes": 20560, "pickled_bytes_avoided": 26611},
-            "batch": {"width": 64, "speedup": 4.19},
-        }
-
-    def test_parallel_v2_fails_on_single_core_baseline(self, checker, tmp_path):
-        """v2 has no single-core exemption: a 1-cpu recording is invalid."""
-        import json
-
-        baseline = self._parallel_baseline(best=2.0, cpus=1)
-        path = tmp_path / "BENCH_parallel.json"
-        path.write_text(json.dumps(baseline))
-        assert checker.main([str(path)]) == 1
-        # Structure-only validation still accepts it (provenance intact);
-        # any enforced floor re-triggers the multi-core requirement.
-        assert checker.main([str(path), "--no-floor"]) == 0
-        assert checker.main([str(path), "--min-speedup", "0.1"]) == 1
-
-    def test_parallel_v2_floor_violation_fails(self, checker, tmp_path):
-        import json
-
-        baseline = self._parallel_baseline(best=1.1, cpus=4)
-        path = tmp_path / "BENCH_parallel.json"
-        path.write_text(json.dumps(baseline))
-        assert checker.main([str(path)]) == 1
-        assert checker.main([str(path), "--min-speedup", "1.0"]) == 0
-
-    def test_parallel_v2_requires_shm_and_batch_provenance(
-        self, checker, tmp_path
-    ):
-        import json
-
-        for mutate in (
-            lambda b: b.pop("shm"),
-            lambda b: b.pop("batch"),
-            lambda b: b["shm"].__setitem__("segment_bytes", 0),
-            lambda b: b["shm"].__setitem__("pickled_bytes_avoided", -5),
-            lambda b: b["batch"].__setitem__("width", 0),
-            lambda b: b["timings_s"].__delitem__("workers2") or
-                      b["timings_s"].__delitem__("workers4"),
-        ):
-            baseline = self._parallel_baseline()
-            mutate(baseline)
-            path = tmp_path / "BENCH_parallel.json"
-            path.write_text(json.dumps(baseline))
-            assert checker.main([str(path)]) == 1, baseline
-
     def test_parallel_v1_schema_retired(self, checker, tmp_path):
         import json
 
-        baseline = self._parallel_baseline()
-        baseline["schema"] = "bench-parallel/v1"
         path = tmp_path / "BENCH_parallel.json"
-        path.write_text(json.dumps(baseline))
-        assert checker.main([str(path)]) == 1
+        for schema in ("bench-parallel/v1", "bench-parallel/v2"):
+            baseline = self._incremental_baseline(2.0)
+            baseline["schema"] = schema
+            path.write_text(json.dumps(baseline))
+            assert checker.main([str(path), "--no-floor"]) == 1
 
     def test_unknown_schema_rejected(self, checker, tmp_path):
         import json
