@@ -95,16 +95,24 @@ class TestChunkDegradation:
         ]
 
     def test_real_worker_crash_degrades_to_serial(self):
+        items = list(range(12))
+        executor = ParallelExecutor(2, chunk_size=3)
+        with capture_events() as events:
+            result = executor.map(_exit_worker_on_seven, items, unit="crash")
+        assert result == [x + 1 for x in items]
+        assert executor.failed_chunks  # the crashed chunk is reported
+        assert any(e[0] == "parallel.degraded" for e in events)
+
+    def test_kill9_worker_degrades_to_serial(self):
         # A dead worker breaks the whole pool, so how many chunks degrade
         # depends on timing and start method; only the output may not.
         items = list(range(12))
-        for task in (_exit_worker_on_seven, _kill_worker_on_seven):
-            executor = ParallelExecutor(2, chunk_size=3)
-            with capture_events() as events:
-                result = executor.map(task, items, unit="crash")
-            assert result == [x + 1 for x in items]
-            assert executor.failed_chunks  # the crashed chunk is reported
-            assert any(e[0] == "parallel.degraded" for e in events)
+        executor = ParallelExecutor(2, chunk_size=3)
+        with capture_events() as events:
+            result = executor.map(_kill_worker_on_seven, items, unit="kill9")
+        assert result == [x + 1 for x in items]
+        assert executor.failed_chunks  # the crashed chunk is reported
+        assert any(e[0] == "parallel.degraded" for e in events)
 
     def test_seeded_fail_rate_is_reproducible(self):
         items = list(range(20))

@@ -50,18 +50,27 @@ def _fail_on_negative(x: int) -> int:
 
 class TestParallelExecutor:
     def test_results_in_input_order(self):
+        items = [9, 1, 7, 3, 0, 5, 2, 8]
+        expected = [x * x for x in items]
+        for workers in WORKER_COUNTS:
+            executor = ParallelExecutor(workers)
+            assert executor.map(_offset_square, items) == expected
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_stateful_map_matches_serial(self, method, workers):
         # Both pool bring-ups: fork inherits the state, spawn unpickles
         # it in each worker's initializer.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} unavailable")
         items = [9, 1, 7, 3, 0, 5, 2, 8]
-        expected = [x * x + 1 for x in items]
-        for method in ("fork", "spawn"):
-            if method not in multiprocessing.get_all_start_methods():
-                continue
-            for workers in WORKER_COUNTS:
-                executor = ParallelExecutor(
-                    workers, state={"offset": 1}, start_method=method
-                )
-                assert executor.map(_offset_square, items) == expected
+        serial = ParallelExecutor(1, state={"offset": 1})
+        executor = ParallelExecutor(
+            workers, state={"offset": 1}, start_method=method
+        )
+        assert executor.map(_offset_square, items) == serial.map(
+            _offset_square, items
+        ) == [x * x + 1 for x in items]
 
     def test_chunk_size_never_changes_results(self):
         items = list(range(17))
