@@ -35,7 +35,9 @@ class SnapshotPair:
     ``csr1``/``csr2`` and ``mapping`` (csr1 index → csr2 index) exist on
     unweighted pairs only; weighted rows come from Dijkstra on ``g1`` and
     ``g2``.  Build one per query and pass it explicitly — nothing here is
-    cached across queries.
+    cached across queries.  A stream's windows chain explicitly instead:
+    :meth:`after` builds the next window's pair on the previous pair's
+    ``csr2``.
     """
 
     g1: Graph
@@ -50,6 +52,23 @@ class SnapshotPair:
     @classmethod
     def from_graphs(cls, g1: Graph, g2: Graph) -> "SnapshotPair":
         """Freeze a pair; ``ValueError`` if a ``G_t1`` node is missing at t2."""
+        return cls._freeze(g1, g2, None)
+
+    @classmethod
+    def after(cls, previous: "SnapshotPair", g2: Graph) -> "SnapshotPair":
+        """The pair ``(previous.g2, g2)``, whose ``csr1`` is ``previous.csr2``.
+
+        A stream's next window starts where the previous one ended, so
+        the CSR view of its ``G_t1`` is already built; ``previous.g2``
+        must not have changed since ``previous`` froze it.  A weighted
+        ``previous`` has no CSR view to pass on.
+        """
+        return cls._freeze(previous.g2, g2, previous.csr2)
+
+    @classmethod
+    def _freeze(
+        cls, g1: Graph, g2: Graph, csr1: Optional[CSRGraph]
+    ) -> "SnapshotPair":
         if not g1.adjacency_map().keys() <= g2.adjacency_map().keys():
             missing = next(u for u in g1.nodes() if u not in g2)
             raise ValueError(
@@ -60,7 +79,8 @@ class SnapshotPair:
             nodes = list(g1.nodes())
             index = {u: i for i, u in enumerate(nodes)}
             return cls(g1, g2, True, nodes, index)
-        csr1 = CSRGraph.from_graph(g1)
+        if csr1 is None:
+            csr1 = CSRGraph.from_graph(g1)
         csr2 = CSRGraph.from_graph(g2)
         mapping = np.fromiter(
             map(csr2.index.__getitem__, csr1.nodes), np.int64, len(csr1.nodes)

@@ -3,8 +3,11 @@
 A runtime window keeps one :class:`~repro.graph.pair.SnapshotPair`
 (``_KeptWindow.pair`` in :mod:`repro.runtime.engine`), and every later
 read of that window — its top-k, each ``node`` answer — uses that
-pair's CSR arrays, so a write through a CSR or level array the engine
-returned would change every later answer of the window.  The rule
+pair's CSR arrays, and the next window's pair takes that pair's
+``csr2`` as its own ``csr1`` (:meth:`SnapshotPair.after
+<repro.graph.pair.SnapshotPair.after>`), so a write through a CSR or
+level array the engine returned would change every later answer of the
+window and of the window after it.  The rule
 taints every value produced by ``repro.graph.csr`` /
 ``repro.graph.incremental`` and flags any in-place write reached
 without an explicit ``.copy()`` (or another materializing call) in
@@ -106,9 +109,10 @@ def _write_kind(node: ast.AST) -> str:
     summary="write through a CSR/level array returned by the graph "
             "engine without .copy()",
     invariant="Arrays returned by repro.graph.csr / "
-              "repro.graph.incremental are frozen views (the zero-copy "
-              "shared-memory precondition); mutate a .copy(), never the "
-              "view (docs/parallel.md).",
+              "repro.graph.incremental are frozen views: a runtime "
+              "window's SnapshotPair is shared by its reads, and its csr2 "
+              "is the next window's csr1; mutate a .copy(), never the "
+              "view (docs/runtime.md).",
 )
 def check_frozen_view_mutation(
     project: ProjectContext, graph: CallGraph

@@ -31,7 +31,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Iterator, List, Union
+from typing import Any, Iterator, List, Tuple, Union
 
 from repro.resilience.events import log_event
 
@@ -157,8 +157,9 @@ class CheckpointStore:
     __contains__ = contains
 
     # ------------------------------------------------------------------
-    def keys(self) -> Iterator[Any]:
-        """The keys of every valid record in the store."""
+    def items(self) -> Iterator[Tuple[Any, Any]]:
+        """``(key, value)`` of every record :meth:`get` would return,
+        each file read once."""
         for path in sorted(self.directory.glob("*.json")):
             try:
                 record = json.loads(path.read_text(encoding="utf-8"))
@@ -168,8 +169,14 @@ class CheckpointStore:
                 isinstance(record, dict)
                 and record.get("schema") == SCHEMA_VERSION
                 and record.get("checksum") == _checksum(record.get("value"))
+                and self._path(record.get("key")) == path
             ):
-                yield record["key"]
+                yield record["key"], record["value"]
+
+    def keys(self) -> Iterator[Any]:
+        """The keys of every valid record in the store."""
+        for key, _ in self.items():
+            yield key
 
     def delete(self, key: Any) -> bool:
         """Remove ``key``'s record if present; returns whether it existed."""

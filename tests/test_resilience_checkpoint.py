@@ -186,12 +186,14 @@ class TestCorruption:
         other = store._path("b")
         other.write_text(path.read_text())
         assert store.get("b") is None
+        assert list(store.items()) == [("a", 1)]
 
     def test_corrupt_records_skipped_by_keys(self, store):
         store.put("good", 1)
         bad = store.put("bad", 2)
         bad.write_text("not json")
         assert list(store.keys()) == ["good"]
+        assert list(store.items()) == [("good", 1)]
 
 
 class TestRestoreList:

@@ -183,6 +183,49 @@ class TestCheckpointRoundTrip:
         restored.restore(json.loads(json.dumps(payload)))
         assert restored.consecutive_failures == breaker.consecutive_failures
 
+    def test_payload_records_seed_and_draws_not_the_rng(self):
+        breaker = CircuitBreaker(failure_threshold=1, seed=5)
+        drive(breaker, "f" + "x" * 8 + "f")
+        opened = [state for state, _ in breaker.transitions].count(OPEN)
+        assert opened == 3  # one jitter draw per trip
+        payload = breaker.to_payload()
+        assert payload["schema"] == 2
+        assert (payload["seed"], payload["draws"]) == (5, opened)
+        assert "rng" not in payload
+
+    @pytest.mark.parametrize("trips", [0, 1, 3])
+    def test_schema_1_payload_restores_like_its_schema_2_form(self, trips):
+        """A schema-1 payload (the generator's own state, as records
+        written before schema 2 hold it) and the schema-2 payload of the
+        same breaker restore to the same future waits."""
+        breaker = CircuitBreaker(failure_threshold=1, jitter=0.5, seed=9)
+        drive(breaker, "f" + "xxxxxxf" * trips)
+        version, internal, gauss = breaker._rng.getstate()
+        legacy = {
+            key: value for key, value in breaker.to_payload().items()
+            if key not in ("seed", "draws")
+        }
+        legacy.update(schema=1, rng=[version, list(internal), gauss])
+        from_legacy = CircuitBreaker(failure_threshold=1, jitter=0.5, seed=9)
+        from_legacy.restore(legacy)
+        from_current = CircuitBreaker(failure_threshold=1, jitter=0.5, seed=9)
+        from_current.restore(breaker.to_payload())
+        # A schema-1 restore finds the draws, so it writes schema 2 next.
+        assert from_legacy.to_payload() == breaker.to_payload()
+        tape = "fsxfxxsfxsffxxxxf" * 4
+        assert drive(from_legacy, tape) == drive(from_current, tape)
+        assert from_legacy.to_payload() == from_current.to_payload()
+        assert from_legacy.transitions == from_current.transitions
+
+    def test_schema_1_payload_of_another_seed_is_rejected(self):
+        breaker = CircuitBreaker(failure_threshold=1, seed=9)
+        drive(breaker, "f")
+        version, internal, gauss = breaker._rng.getstate()
+        legacy = dict(breaker.to_payload(), schema=1,
+                      rng=[version, list(internal), gauss])
+        with pytest.raises(ValueError, match="seed 10"):
+            CircuitBreaker(failure_threshold=1, seed=10).restore(legacy)
+
     def test_schema_mismatch_rejected(self):
         breaker = CircuitBreaker(seed=0)
         payload = breaker.to_payload()

@@ -138,11 +138,12 @@ class TestKillNine:
 
 
 class TestSchemaUpgrade:
-    def test_kill_mid_first_schema_2_checkpoint_recovers(self, tmp_path):
-        """SIGKILL while the first schema-2 record is written over a
-        schema-1 directory: the store holds both schemas, and recovery
-        still prints what an uninterrupted run prints."""
-        data = Path(__file__).resolve().parent / "data" / "runtime_v1"
+    def _kill_mid_first_checkpoint(self, tmp_path, artefact):
+        """SIGKILL while the first record is written over an older
+        ``--wal-dir``; returns the sorted record schemas the store then
+        holds, after checking that recovery still prints what an
+        uninterrupted run prints."""
+        data = Path(__file__).resolve().parent / "data" / artefact
         flags = json.loads((data / "expected.json").read_text())["flags"]
         wal_dir = tmp_path / "wal"
         shutil.copytree(data / "wal", wal_dir)
@@ -155,10 +156,24 @@ class TestSchemaUpgrade:
             json.loads(path.read_text())["value"]["schema"]
             for path in (wal_dir / "checkpoints").glob("*.json")
         )
-        assert schemas == [1, 2]
         recovered = advance(stream, wal_dir, flags=flags)
         assert recovered.returncode == 0, recovered.stderr
         assert recovered.stdout == (data / "advance.txt").read_text()
+        return schemas
+
+    def test_kill_mid_first_schema_2_checkpoint_recovers(self, tmp_path):
+        """Over a schema-1 directory: the store holds the schema-1 base
+        and the first record written after it (now schema 3)."""
+        assert self._kill_mid_first_checkpoint(
+            tmp_path, "runtime_v1"
+        ) == [1, 3]
+
+    def test_kill_mid_first_schema_3_checkpoint_recovers(self, tmp_path):
+        """Over a schema-2 directory: the store holds the schema-2 base
+        and the first schema-3 record."""
+        assert self._kill_mid_first_checkpoint(
+            tmp_path, "runtime_v2"
+        ) == [2, 3]
 
 
 class TestChaosEnvValidation:

@@ -163,13 +163,16 @@ class TestSharedPair:
         )
         runtime.run(max_batches=4)
         built = []
-        from_graphs = SnapshotPair.from_graphs.__func__
+        for constructor in ("from_graphs", "after"):
+            build = getattr(SnapshotPair, constructor).__func__
 
-        def counting(cls, g1, g2):
-            built.append(runtime.state_version)
-            return from_graphs(cls, g1, g2)
+            def counting(cls, *args, _build=build):
+                built.append(runtime.state_version)
+                return _build(cls, *args)
 
-        monkeypatch.setattr(SnapshotPair, "from_graphs", classmethod(counting))
+            monkeypatch.setattr(
+                SnapshotPair, constructor, classmethod(counting)
+            )
         g1, _ = runtime.window_snapshots(runtime.windows[-1].index)
         nodes = list(g1.nodes())[:12]
         first = [node_answer(runtime, u) for u in nodes]
