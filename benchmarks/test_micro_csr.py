@@ -5,7 +5,8 @@ BFS semantics through the dict adjacency, through the frozen CSR view,
 and through the 64-lane multi-source kernel over every source, plus the
 end-to-end Δ-histogram comparison.  The CSR build of each snapshot and
 the pair's validation are the uncharged work every Algorithm 1 query
-pays before its first traversal.  ``test_block_budget`` records the
+pays before its first traversal; the build reads the graph's edge log,
+and after a removal it first rebuilds that log.  ``test_block_budget`` records the
 evidence for the ground truth's block height
 (:data:`repro.core.fastpairs.BLOCK_CELLS`).
 """
@@ -49,10 +50,26 @@ def test_bfs_csr_engine(benchmark, snapshots, csr):
     assert levels[source_idx] == 0
 
 
-@pytest.mark.parametrize("snapshot", [0, 1], ids=["g1", "g2"])
+@pytest.mark.parametrize("snapshot", ["g1", "g2", "g2-rebuilt"])
 def test_csr_from_graph(benchmark, snapshots, snapshot):
-    graph = snapshots[snapshot]
-    csr = benchmark(CSRGraph.from_graph, graph)
+    """The build from each snapshot's edge log, and ``g2-rebuilt``: a
+    ``G_t2`` whose log a removal dropped, so each round's build first
+    rebuilds the log from the adjacency."""
+    graph = snapshots[snapshot != "g1"]
+    if snapshot == "g2-rebuilt":
+        u, v = next(graph.edges())
+
+        def dropped():
+            g = graph.copy()
+            g.remove_edge(u, v)
+            g.add_edge(u, v)
+            return (g,), {}
+
+        csr = benchmark.pedantic(
+            CSRGraph.from_graph, setup=dropped, rounds=200
+        )
+    else:
+        csr = benchmark(CSRGraph.from_graph, graph)
     assert csr.num_nodes == graph.num_nodes
     assert csr.num_edges == graph.num_edges
 

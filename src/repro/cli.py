@@ -36,6 +36,8 @@ from repro.core.pairs import (
 from repro.datasets import catalog, io
 from repro.datasets.splits import EVAL_SPLIT
 from repro.graph.dynamic import TemporalGraph
+from repro.graph.pair import SnapshotPair
+from repro.graph.validation import check_snapshot_pair
 from repro.selection import available_selectors, get_selector
 
 
@@ -172,14 +174,19 @@ def cmd_truth(args) -> int:
     if args.k is not None:
         pairs = top_k_converging_pairs(g1, g2, k=args.k, engine=args.engine)
     else:
-        hist = delta_histogram(g1, g2, engine=args.engine)
+        # One validation and one snapshot pair serve both passes.
+        check_snapshot_pair(g1, g2)
+        pair = SnapshotPair.from_graphs(g1, g2)
+        hist = delta_histogram(
+            g1, g2, validate=False, engine=args.engine, pair=pair
+        )
         positive = [d for d in hist if d > 0]
         if not positive:
             print("no converging pairs")
             return 0
         delta = max(1, max(positive) - args.delta_offset)
         pairs = converging_pairs_at_threshold(
-            g1, g2, delta, engine=args.engine
+            g1, g2, delta, validate=False, engine=args.engine, pair=pair
         )
         print(f"δ = {delta:g} (Δmax = {max(positive):g}), k = {len(pairs)}")
     _print_pairs(pairs, args.limit)

@@ -148,14 +148,17 @@ def _block_histogram(hist: Counter, block: Block) -> None:
         hist[d] += int(counts[d])
 
 
-def csr_delta_histogram(g1: Graph, g2: Graph) -> Counter:
+def csr_delta_histogram(
+    g1: Graph, g2: Graph, *, pair: Optional[SnapshotPair] = None
+) -> Counter:
     """Exact Δ histogram over connected t1 pairs (unweighted fast path).
 
     Keys and counts are Python ints.  Keys enter in the order a scan of
     the rows in source order meets them (by first row, then by value),
-    so the ``Counter`` iterates as the per-row engine's did.
+    so the ``Counter`` iterates as the per-row engine's did.  ``pair``
+    is the pair of ``g1``/``g2`` when the caller holds one.
     """
-    _, starts, block = _blocks(g1, g2)
+    _, starts, block = _blocks(g1, g2, pair)
     hist: Counter = Counter()
     for start in starts:
         _block_histogram(hist, block(start))
@@ -172,16 +175,18 @@ def _threshold_rows(
 
 
 def csr_pairs_at_threshold(
-    g1: Graph, g2: Graph, delta_min: float
+    g1: Graph, g2: Graph, delta_min: float, *,
+    pair: Optional[SnapshotPair] = None,
 ) -> List[Row]:
     """All ``(u, v, d1, d2)`` rows with ``Δ >= delta_min`` (u-index < v-index).
 
     Returned as raw tuples in ``(i, j)`` order;
     :mod:`repro.core.pairs` wraps them into canonical
     :class:`~repro.core.pairs.ConvergingPair` objects so every engine
-    shares one construction path.
+    shares one construction path.  ``pair`` is the pair of ``g1``/``g2``
+    when the caller holds one.
     """
-    nodes, starts, block = _blocks(g1, g2)
+    nodes, starts, block = _blocks(g1, g2, pair)
     rows: List[Row] = []
     for start in starts:
         rows.extend(_threshold_rows(nodes, block(start), delta_min))

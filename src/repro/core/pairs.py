@@ -187,7 +187,8 @@ def _ranked_top(
 
 
 def delta_histogram(
-    g1: Graph, g2: Graph, validate: bool = True, engine: str = "auto"
+    g1: Graph, g2: Graph, validate: bool = True, engine: str = "auto", *,
+    pair: Optional[SnapshotPair] = None,
 ) -> Counter:
     """Count connected t1-pairs per Δ value.
 
@@ -201,13 +202,19 @@ def delta_histogram(
     from the pair, and ``"auto"`` (default) picks ``csr`` whenever both
     snapshots are unweighted.  Both engines return identical histograms
     — a property the test suite pins down.
+
+    ``pair`` is the :class:`~repro.graph.pair.SnapshotPair` of ``g1``
+    and ``g2`` when the caller already holds one, as for
+    :func:`top_k_converging_pairs`.
     """
+    if pair is not None:
+        SnapshotPair.of(g1, g2, pair)
     if validate:
         check_snapshot_pair(g1, g2)
     if _resolve_engine(g1, g2, engine) == "csr":
         from repro.core.fastpairs import csr_delta_histogram
 
-        return csr_delta_histogram(g1, g2)
+        return csr_delta_histogram(g1, g2, pair=pair)
     rank = {u: i for i, u in enumerate(g1.nodes())}
     hist: Counter = Counter()
     for u, d1, d2 in _delta_rows(g1, g2, validate=False):
@@ -240,22 +247,24 @@ def k_for_delta_threshold(hist: Counter, delta_min: float) -> int:
 
 def converging_pairs_at_threshold(
     g1: Graph, g2: Graph, delta_min: float, validate: bool = True,
-    engine: str = "auto",
+    engine: str = "auto", *, pair: Optional[SnapshotPair] = None,
 ) -> List[ConvergingPair]:
     """All connected t1-pairs with ``Δ >= delta_min``, best Δ first.
 
     ``delta_min`` must be positive: Δ = 0 pairs (no change) are never
     "converging", and collecting them would materialise nearly all pairs.
-    ``engine`` follows :func:`delta_histogram`'s convention.
+    ``engine`` and ``pair`` follow :func:`delta_histogram`'s convention.
     """
     if delta_min <= 0:
         raise ValueError(f"delta_min must be positive, got {delta_min}")
+    if pair is not None:
+        SnapshotPair.of(g1, g2, pair)
     if validate:
         check_snapshot_pair(g1, g2)
     if _resolve_engine(g1, g2, engine) == "csr":
         from repro.core.fastpairs import csr_pairs_at_threshold
 
-        return _ranked(csr_pairs_at_threshold(g1, g2, delta_min))
+        return _ranked(csr_pairs_at_threshold(g1, g2, delta_min, pair=pair))
     rank = {u: i for i, u in enumerate(g1.nodes())}
     rows: List[Tuple[Node, Node, float, float]] = []
     for u, d1, d2 in _delta_rows(g1, g2, validate=False):

@@ -15,7 +15,6 @@ graphs.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
 from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
@@ -65,33 +64,41 @@ class CSRGraph:
         to the graph's insertion order).  Every listed node must exist in
         the graph; neighbors outside the universe are dropped, which
         supports building a ``G_t2`` view restricted to ``V_t1``.
+
+        The arrays come from the graph's edge log
+        (:meth:`Graph.edge_log`), not from its adjacency dicts: the
+        log's ids are mapped onto the universe, and one sort of the
+        ``row·n + col`` keys of both directions orders every row.
         """
-        adj = graph.adjacency_map()
-        node_list = list(adj) if nodes is None else list(nodes)
+        ids, log = graph.edge_log()
+        # A copy: no numpy view of the log outlives the build.
+        ends = np.array(log, dtype=np.int64).reshape(-1, 2)
+        if nodes is None:
+            node_list = list(ids)
+            index = dict(ids)
+        else:
+            node_list = list(nodes)
+            index = dict(zip(node_list, range(len(node_list))))
+            if len(index) != len(node_list):
+                raise ValueError("duplicate nodes in CSR universe")
+            # Graph id -> universe index; -1 marks a node outside it.
+            remap = np.full(len(ids), -1, dtype=np.int64)
+            at = np.fromiter(map(ids.__getitem__, node_list), np.int64)
+            remap[at] = np.arange(at.size)
+            ends = remap[ends]
+            ends = ends[(ends >= 0).all(axis=1)]
         n = len(node_list)
-        index = dict(zip(node_list, range(n)))
-        if len(index) != n:
-            raise ValueError("duplicate nodes in CSR universe")
-        rows = list(map(adj.__getitem__, node_list))
-        counts = np.fromiter(map(len, rows), np.int64, n)
-        # -1 marks a neighbour outside the universe.
-        flat = np.fromiter(
-            map(index.get, chain.from_iterable(rows), repeat(-1)),
-            np.int64, int(counts.sum()),
-        )
-        owner = np.repeat(np.arange(n, dtype=np.int64), counts)
-        inside = flat >= 0
-        if not inside.all():
-            owner, flat = owner[inside], flat[inside]
-            counts = np.bincount(owner, minlength=n)
-        # The keys row·n + col are unique, and each row's keys fill that
-        # row's block, so one sort orders every row at once.
-        base = owner * n
-        keys = base + flat
+        # Both directions of every edge: its rows, and its keys row·n + col.
+        rows = ends.T.ravel()
+        keys = rows * n
+        keys += ends[:, ::-1].T.ravel()
+        # The keys are unique, and each row's keys fill that row's block,
+        # so one sort orders every row at once.
         keys.sort()
-        keys -= base
+        counts = np.bincount(rows, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
+        keys -= np.repeat(np.arange(n, dtype=np.int64) * n, counts)
         return cls(node_list, indptr, keys.astype(np.int32), index)
 
     @property

@@ -166,19 +166,23 @@ class TemporalGraph:
         This is the paper's split: ``G_t1`` holds 80 percent of the edges
         and ``G_t2`` the entire graph.  ``fraction`` must lie in [0, 1].
         """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        self._ensure_sorted()
-        cut = round(fraction * len(self._events))
-        return self._materialise(cut)
+        return self._materialise(self._cut(fraction))
 
     def snapshot_pair(
         self, f1: float, f2: float = 1.0
     ) -> Tuple[Graph, Graph]:
-        """Materialise ``(G_t1, G_t2)`` at stream fractions ``f1 <= f2``."""
+        """Materialise ``(G_t1, G_t2)`` at stream fractions ``f1 <= f2``.
+
+        ``G_t2`` extends a copy of ``G_t1`` by the events between the two
+        cuts, which :func:`apply_events` makes the graph
+        ``snapshot_at_fraction(f2)`` returns, so the first ``f1`` of the
+        stream is applied once.
+        """
         if f1 > f2:
             raise ValueError(f"need f1 <= f2, got {f1} > {f2}")
-        return (self.snapshot_at_fraction(f1), self.snapshot_at_fraction(f2))
+        cut1, cut2 = self._cut(f1), self._cut(f2)
+        g1 = self._materialise(cut1)
+        return g1, self._materialise(cut2, g1.copy(), cut1)
 
     def events_between(self, f1: float, f2: float) -> List[EdgeEvent]:
         """Events strictly after fraction ``f1`` up to fraction ``f2``.
@@ -193,10 +197,21 @@ class TemporalGraph:
         hi = round(f2 * len(self._events))
         return list(self._events[lo:hi])
 
-    def _materialise(self, cut: int) -> Graph:
+    def _cut(self, fraction: float) -> int:
+        """The number of events in the first ``fraction`` of the stream."""
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+        return round(fraction * len(self._events))
+
+    def _materialise(
+        self, cut: int, graph: Optional[Graph] = None, start: int = 0
+    ) -> Graph:
+        """``graph`` (empty by default), extended by events
+        ``start .. cut − 1``."""
         self._ensure_sorted()
         return apply_events(
-            Graph(), ((ev.u, ev.v, ev.weight) for ev in self._events[:cut])
+            Graph() if graph is None else graph,
+            ((ev.u, ev.v, ev.weight) for ev in self._events[start:cut]),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -213,13 +228,15 @@ def apply_events(
     an earlier snapshot by the events after it, gives the same graph,
     down to node and neighbour order.
     """
+    adj = graph.adjacency_map()
     for u, v, weight in events:
+        nbrs = adj.get(u)
         if weight <= 0:
             # Deletion events remove the edge if present (endpoints
             # stay, possibly isolated) and never add anything.
-            if graph.has_edge(u, v):
+            if nbrs is not None and v in nbrs:
                 graph.remove_edge(u, v)
-        elif not graph.has_edge(u, v):
+        elif nbrs is None or v not in nbrs:
             # Re-insertions of an existing edge are tolerated (real
             # edge streams contain repeated interactions); the simple
             # graph keeps one edge and its first weight: a re-insertion

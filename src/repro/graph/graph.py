@@ -13,16 +13,28 @@ Design notes
 * Mutation is insertion-oriented (``add_node`` / ``add_edge``), matching
   the paper's growth-only dynamic model.  ``remove_edge`` / ``remove_node``
   exist for completeness and for building test fixtures.
+* Beside the adjacency the graph keeps an *edge log* (:meth:`edge_log`):
+  dense node ids in insertion order and each undirected edge's id pair
+  once, which the CSR build (:mod:`repro.graph.csr`) reads instead of
+  looking up every adjacency entry.  Insertions extend it; a removal or
+  a direct adjacency write drops it, and the next read rebuilds it.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
 from typing import (
-    Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple,
+    Dict, Final, Hashable, Iterable, Iterator, Mapping, Optional, Tuple,
 )
+
+import numpy as np
 
 Node = Hashable
 Edge = Tuple[Node, Node]
+
+#: The edge log's item type: C ``int``, four bytes, read as ``numpy.int32``.
+_LOG_TYPECODE: Final = "i"
 
 
 class Graph:
@@ -45,13 +57,17 @@ class Graph:
     5.0
     """
 
-    __slots__ = ("_adj", "_weighted")
+    __slots__ = ("_adj", "_weighted", "_ids", "_log")
 
     def __init__(self, edges: Optional[Iterable[tuple]] = None) -> None:
         self._adj: Dict[Node, Dict[Node, float]] = {}
         # Cached :meth:`is_weighted`; ``None`` means unknown, rescanned
         # on the next call.
         self._weighted: Optional[bool] = False
+        # The edge log (:meth:`edge_log`); ``_ids`` is ``None`` once a
+        # write the log does not follow has dropped it.
+        self._ids: Optional[Dict[Node, int]] = {}
+        self._log: array[int] = array(_LOG_TYPECODE)
         if edges is not None:
             for edge in edges:
                 if len(edge) == 2:
@@ -68,6 +84,8 @@ class Graph:
         """Add an isolated node (no-op if already present)."""
         if u not in self._adj:
             self._adj[u] = {}
+            if self._ids is not None:
+                self._ids[u] = len(self._ids)
 
     def add_edge(self, u: Node, v: Node, weight: float = 1.0) -> None:
         """Add the undirected edge ``{u, v}``; nodes are created as needed.
@@ -80,13 +98,28 @@ class Graph:
             raise ValueError(f"self loops are not allowed (node {u!r})")
         if weight <= 0:
             raise ValueError(f"edge weight must be positive, got {weight}")
-        nbrs = self._adj.setdefault(u, {})
+        adj, ids = self._adj, self._ids
+        nbrs = adj.get(u)
+        if nbrs is None:
+            nbrs = adj[u] = {}
+            if ids is not None:
+                ids[u] = len(ids)
+        other = adj.get(v)
+        if other is None:
+            other = adj[v] = {}
+            if ids is not None:
+                ids[v] = len(ids)
+        if v not in nbrs:
+            if ids is not None:
+                log = self._log
+                log.append(ids[u])
+                log.append(ids[v])
+        elif self._weighted and weight == 1.0 and nbrs[v] != 1.0:
+            self._weighted = None  # re-weighted to 1.0
         if weight != 1.0:
             self._weighted = True
-        elif self._weighted and nbrs.get(v, 1.0) != 1.0:
-            self._weighted = None  # re-weighted to 1.0
         nbrs[v] = weight
-        self._adj.setdefault(v, {})[u] = weight
+        other[u] = weight
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove the edge ``{u, v}``; raises ``KeyError`` if absent."""
@@ -94,6 +127,7 @@ class Graph:
             self._weighted = None
         del self._adj[u][v]
         del self._adj[v][u]
+        self._drop_log()
 
     def remove_node(self, u: Node) -> None:
         """Remove ``u`` and all incident edges; raises ``KeyError`` if absent."""
@@ -102,6 +136,12 @@ class Graph:
         for v in list(self._adj[u]):
             del self._adj[v][u]
         del self._adj[u]
+        self._drop_log()
+
+    def _drop_log(self) -> None:
+        """Forget the edge log; :meth:`edge_log` rebuilds it."""
+        self._ids = None
+        self._log = array(_LOG_TYPECODE)
 
     def add_edges_from(self, edges: Iterable[tuple]) -> None:
         """Bulk :meth:`add_edge` from ``(u, v)`` / ``(u, v, w)`` tuples."""
@@ -180,6 +220,40 @@ class Graph:
         """
         return self._adj
 
+    def edge_log(self) -> Tuple[Mapping[Node, int], array[int]]:
+        """Dense node ids and each undirected edge's id pair, once.
+
+        Ids number the nodes ``0 .. n − 1`` in insertion order, the
+        order of :meth:`nodes`.  The log is a flat ``array("i")`` with
+        one edge's two ids at positions ``2e`` and ``2e + 1``, edges in
+        the order they were added, or by lower id after a rebuild.  Do
+        not mutate either, and hold no buffer view of the log: an
+        ``array`` cannot grow while one is alive.
+
+        :meth:`add_node` and :meth:`add_edge` extend both when a node or
+        an edge is new, and :meth:`copy` copies them.  A removal or a
+        :meth:`subgraph` drops them; they are rebuilt here, once, from
+        the adjacency on the next call.
+        """
+        if self._ids is None:
+            adj = self._adj
+            ids = dict(zip(adj, range(len(adj))))
+            rows = list(adj.values())
+            counts = np.fromiter(map(len, rows), np.int64, len(rows))
+            ends = np.fromiter(
+                map(ids.__getitem__, chain.from_iterable(rows)),
+                np.int32, int(counts.sum()),
+            )
+            owners = np.repeat(np.arange(len(rows), dtype=np.int32), counts)
+            # Each edge appears in both rows; the lower id's row keeps it.
+            kept = owners < ends
+            log = array(_LOG_TYPECODE)
+            log.frombytes(np.stack((owners[kept], ends[kept]), 1).tobytes())
+            # The log first: a set ``_ids`` marks it valid.
+            self._log = log
+            self._ids = ids
+        return self._ids, self._log
+
     def degree(self, u: Node) -> int:
         """Number of neighbors of ``u``.  Nodes absent from the graph have
         degree 0 — the paper compares degrees across snapshots where a node
@@ -229,6 +303,10 @@ class Graph:
         g = Graph()
         g._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
         g._weighted = self._weighted
+        if self._ids is None:
+            g._drop_log()
+        else:
+            g._ids, g._log = dict(self._ids), self._log[:]
         return g
 
     def subgraph(self, nodes: Iterable[Node]) -> "Graph":
@@ -241,8 +319,10 @@ class Graph:
                 if v in keep:
                     g._adj[u][v] = w
         # The direct writes bypass add_edge: a subgraph of an unweighted
-        # graph is unweighted, any other one rescans on demand.
+        # graph is unweighted, any other one rescans on demand, and its
+        # edge log is rebuilt on its first read.
         g._weighted = False if self._weighted is False else None
+        g._drop_log()
         return g
 
     def __eq__(self, other: object) -> bool:

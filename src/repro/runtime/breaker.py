@@ -46,6 +46,8 @@ BREAKER_SCHEMA_VERSION = 2
 #: How many draws a schema-1 payload's RNG state is searched over.  One
 #: draw is taken per trip, and a trip takes at least one window.
 _LEGACY_DRAW_LIMIT = 1 << 16
+#: Draws between two states at the same generator position.
+_DRAWS_PER_TWIST = 312
 
 
 class CircuitBreaker:
@@ -239,12 +241,23 @@ class CircuitBreaker:
 
 def _draws_to(seed: int, rng: List[Any]) -> int:
     """How many draws from ``random.Random(seed)`` reach the schema-1
-    RNG state ``[version, words, gauss]``."""
+    RNG state ``[version, words, gauss]``.
+
+    The state's last word is the Mersenne Twister's position: 624 after
+    seeding, and a draw takes two of the 624 words, so after ``d`` draws
+    it is ``2·d`` modulo 624, read as 624 where that is 0.  Only draw
+    counts congruent to half the stored position modulo 312 can match,
+    and only those build a state tuple to compare.
+    """
     version, internal, gauss = rng
     target = (version, tuple(internal), gauss)
+    position = target[1][-1] if target[1] else None
+    phase = (
+        position // 2 % _DRAWS_PER_TWIST if isinstance(position, int) else None
+    )
     replay = random.Random(seed)
     for draws in range(_LEGACY_DRAW_LIMIT + 1):
-        if replay.getstate() == target:
+        if draws % _DRAWS_PER_TWIST == phase and replay.getstate() == target:
             return draws
         replay.random()
     raise ValueError(

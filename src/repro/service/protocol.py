@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 # ----------------------------------------------------------------------
@@ -91,9 +92,13 @@ class Request:
     request_id: Optional[Any] = None
     deadline_ms: Optional[int] = None
 
-    @property
+    @cached_property
     def key(self) -> Tuple[str, str]:
-        """The coalescing identity: ``(verb, canonical args)``."""
+        """The coalescing identity: ``(verb, canonical args)``.
+
+        Encoded on first use and kept: admission, the answer cache and
+        settlement all read it.  ``args`` must not change after that.
+        """
         return (self.verb, canonical_args(self.args))
 
 

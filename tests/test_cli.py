@@ -114,6 +114,46 @@ class TestTruth:
         assert outputs[0] == outputs[1] == outputs[2]
         assert "δ =" in outputs[0]
 
+    @pytest.mark.parametrize("dataset", ["facebook", "internet-weighted"])
+    def test_threshold_mode_validates_and_builds_one_pair(
+        self, dataset, monkeypatch, capsys
+    ):
+        """Both passes of the threshold form share one validation and
+        one snapshot pair, and print what two self-validating calls
+        print."""
+        from repro import cli
+        from repro.core import pairs as core_pairs
+        from repro.graph.pair import SnapshotPair
+
+        argv = ["truth", dataset, "--scale", "0.1", "--delta-offset", "1"]
+        args = cli.build_parser().parse_args(argv)
+        g1, g2 = cli._snapshots(
+            cli._load_input(args.input, args.scale, args.seed), args.split
+        )
+        hist = core_pairs.delta_histogram(g1, g2)
+        delta = max(1, max(d for d in hist if d > 0) - 1)
+        expected = core_pairs.converging_pairs_at_threshold(g1, g2, delta)
+        counts = {"check": 0, "build": 0}
+        real_check = core_pairs.check_snapshot_pair
+        real_build = SnapshotPair.from_graphs.__func__
+
+        def check(*args):
+            counts["check"] += 1
+            return real_check(*args)
+
+        def build(cls, *args):
+            counts["build"] += 1
+            return real_build(cls, *args)
+
+        monkeypatch.setattr(cli, "check_snapshot_pair", check)
+        monkeypatch.setattr(core_pairs, "check_snapshot_pair", check)
+        monkeypatch.setattr(SnapshotPair, "from_graphs", classmethod(build))
+        assert main(argv) == 0
+        assert counts == {"check": 1, "build": 1}
+        out = capsys.readouterr().out
+        assert out.startswith(f"δ = {delta:g} ")
+        assert f"k = {len(expected)}\n" in out
+
     @pytest.mark.parametrize("engine", ["csr"])
     def test_hop_engine_on_weighted_input_is_a_usage_error(
         self, engine, capsys

@@ -266,6 +266,31 @@ class TestTopK:
                 g1, g2.copy(), k=3, engine=engine, pair=pair
             )
 
+    @pytest.mark.parametrize("engine", ["csr", "dict"])
+    def test_histogram_and_threshold_take_the_callers_pair(
+        self, shortcut_pair, monkeypatch, engine
+    ):
+        g1, g2 = shortcut_pair
+        pair = SnapshotPair.from_graphs(g1, g2)
+        hist = delta_histogram(g1, g2, engine=engine)
+        at_two = converging_pairs_at_threshold(g1, g2, 2, engine=engine)
+
+        def no_build(cls, *args):
+            raise AssertionError("built a second pair")
+
+        monkeypatch.setattr(SnapshotPair, "from_graphs", classmethod(no_build))
+        shared = delta_histogram(g1, g2, engine=engine, pair=pair)
+        assert list(shared.items()) == list(hist.items())
+        assert converging_pairs_at_threshold(
+            g1, g2, 2, engine=engine, pair=pair
+        ) == at_two
+        with pytest.raises(ValueError, match="other snapshots"):
+            delta_histogram(g1.copy(), g2, engine=engine, pair=pair)
+        with pytest.raises(ValueError, match="other snapshots"):
+            converging_pairs_at_threshold(
+                g1, g2.copy(), 2, engine=engine, pair=pair
+            )
+
 
 #: Rows ``(u, v, d1, d2)`` as the collectors return them: mixed id
 #: types (so canonical order falls back to repr), many tied Δs.

@@ -1,5 +1,8 @@
 """Unit tests for the CSR graph view and vectorised BFS."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,11 +142,128 @@ class TestFromGraphMatchesReference:
         with pytest.raises(KeyError):
             CSRGraph.from_graph(path5, nodes=[0, 1, 99])
 
+    def test_unknown_universe_node_rejected_after_a_removal(self, path5):
+        path5.remove_node(4)
+        with pytest.raises(KeyError):
+            CSRGraph.from_graph(path5, nodes=[0, 1, 4])
+
     def test_empty_graph(self):
         csr = CSRGraph.from_graph(Graph())
         _, indptr, indices = reference_from_graph(Graph())
         assert csr.indptr.tobytes() == indptr.tobytes()
         assert csr.indices.dtype == np.int32 and csr.indices.size == 0
+
+
+def assert_matches_reference(g, universe=None):
+    """``from_graph`` equals the per-node build: node order, arrays,
+    dtypes and index."""
+    csr = CSRGraph.from_graph(g, nodes=universe)
+    nodes, indptr, indices = reference_from_graph(g, universe)
+    assert csr.nodes == nodes
+    assert csr.index == {u: i for i, u in enumerate(nodes)}
+    assert list(csr.index) == nodes
+    assert csr.indptr.dtype == np.int64 and csr.indices.dtype == np.int32
+    assert csr.indptr.tobytes() == indptr.tobytes()
+    assert csr.indices.tobytes() == indices.tobytes()
+
+
+#: Mixed int/str node ids over a small range, so edges repeat.
+log_ids = st.one_of(st.integers(0, 9), st.sampled_from(["a", "b", "10"]))
+
+#: One mutation of the graph under test; ``freeze`` checks it in place.
+log_ops = st.one_of(
+    st.tuples(st.just("add_edge"), log_ids, log_ids,
+              st.sampled_from([1.0, 1.0, 2.0, 0.5])),
+    st.tuples(st.just("add_node"), log_ids),
+    st.tuples(st.sampled_from(
+        ["remove_edge", "remove_node", "subgraph", "copy", "pickle",
+         "deepcopy", "freeze"]
+    )),
+)
+
+
+class TestEdgeLog:
+    """``from_graph`` reads the graph's edge log; every mutation route
+    must leave a log that builds the per-node CSR."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutation_sequences_build_the_reference_csr(self, data):
+        g = Graph()
+        for op in data.draw(st.lists(log_ops, max_size=40)):
+            name = op[0]
+            if name == "add_edge" and op[1] != op[2]:
+                g.add_edge(op[1], op[2], op[3])
+            elif name == "add_node":
+                g.add_node(op[1])
+            elif name == "remove_edge" and g.num_edges:
+                g.remove_edge(*data.draw(st.sampled_from(list(g.edges()))))
+            elif name == "remove_node" and g.num_nodes:
+                g.remove_node(data.draw(st.sampled_from(list(g.nodes()))))
+            elif name == "subgraph":
+                g = g.subgraph(data.draw(st.lists(log_ids, max_size=8)))
+            elif name == "copy":
+                g = g.copy()
+            elif name == "pickle":
+                g = pickle.loads(pickle.dumps(g))
+            elif name == "deepcopy":
+                g = copy.deepcopy(g)
+            elif name == "freeze":
+                assert_matches_reference(g)
+        assert_matches_reference(g)
+        nodes = list(g.nodes())
+        order = data.draw(st.permutations(nodes))
+        universe = order[: data.draw(st.integers(0, len(nodes)))]
+        assert_matches_reference(g, universe)
+
+    def test_a_frozen_graph_grows_and_freezes_again(self):
+        """No build keeps a buffer view of the log: an ``array`` that
+        has one refuses to grow (``BufferError``)."""
+        g = path_graph(4)
+        first = CSRGraph.from_graph(g)
+        CSRGraph.from_graph(g, nodes=[2, 0])
+        g.add_edge(3, "x")
+        g.add_edge(0, 2)
+        assert_matches_reference(g)
+        assert first.num_edges == 3 and first.nodes == [0, 1, 2, 3]
+
+    def test_a_removal_drops_the_log_and_the_next_read_rebuilds_it(self):
+        g = cycle_graph(5)
+        g.remove_edge(0, 1)
+        g.add_edge(0, 1)  # now last among 0's and 1's neighbours
+        g.add_edge(1, 3)
+        g.remove_node(4)
+        ids, log = g.edge_log()
+        assert list(ids.items()) == [(0, 0), (1, 1), (2, 2), (3, 3)]
+        pairs = np.frombuffer(log, dtype=np.int32).reshape(-1, 2).tolist()
+        assert sorted(pairs) == [[0, 1], [1, 2], [1, 3], [2, 3]]
+        del pairs
+        g.add_edge(3, 0)  # the rebuilt log grows again
+        assert g.edge_log()[1][-2:].tolist() == [3, 0]
+        assert_matches_reference(g)
+
+    @pytest.mark.parametrize("clone", [
+        lambda g: g.copy(),
+        lambda g: pickle.loads(pickle.dumps(g)),
+        copy.deepcopy,
+    ], ids=["copy", "pickle", "deepcopy"])
+    def test_a_clone_has_its_own_log(self, clone):
+        g = path_graph(3)
+        twin = clone(g)
+        twin.add_edge(2, 3)
+        g.add_edge(0, 9)
+        assert g.edge_log()[1].tolist() == [0, 1, 1, 2, 0, 3]
+        assert twin.edge_log()[1].tolist() == [0, 1, 1, 2, 2, 3]
+        assert_matches_reference(g)
+        assert_matches_reference(twin)
+
+    def test_reweighting_keeps_one_entry_per_edge(self):
+        g = Graph([(0, 1, 2.0)])
+        g.add_edge(0, 1, 1.0)
+        g.add_edge(1, 0, 3.0)
+        assert g.edge_log()[1].tolist() == [0, 1]
+        assert g.is_weighted()
+        assert_matches_reference(g)
 
 
 class TestBFSLevels:

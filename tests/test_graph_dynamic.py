@@ -1,6 +1,8 @@
 """Unit tests for repro.graph.dynamic (EdgeEvent / TemporalGraph)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.dynamic import EdgeEvent, TemporalGraph
 
@@ -165,3 +167,49 @@ class TestDeletionEvents:
         tg = TemporalGraph([(0, 1, 2, 3.0), (1, 1, 2, 0.0), (2, 1, 2, 5.0)])
         g = tg.snapshot()
         assert g.weight(1, 2) == 5.0
+
+
+def layout(g):
+    """Everything a snapshot's order shows: nodes, and each node's
+    neighbours with their weights, in iteration order."""
+    return [(u, list(g.adjacency(u).items())) for u in g.nodes()]
+
+
+#: Streams over a few mixed int/str nodes, so edges repeat: deletions
+#: (weight <= 0), re-insertions after them, and non-unit weights.
+streams = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 6), st.sampled_from(["a", "b"])),
+        st.one_of(st.integers(0, 6), st.sampled_from(["a", "b"])),
+        st.sampled_from([1.0, 1.0, 1.0, 2.5, 0.0, -1.0]),
+    ).filter(lambda ev: ev[0] != ev[1]),
+    max_size=40,
+)
+
+
+class TestSnapshotPairExtendsG1:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        events=streams,
+        fractions=st.tuples(st.floats(0, 1), st.floats(0, 1)).map(sorted),
+    )
+    def test_g2_is_the_snapshot_at_f2(self, events, fractions):
+        """``snapshot_pair`` builds ``G_t2`` on a copy of ``G_t1``; it is
+        the graph ``snapshot_at_fraction(f2)`` materialises from empty."""
+        f1, f2 = fractions
+        tg = TemporalGraph(
+            (t, u, v, w) for t, (u, v, w) in enumerate(events)
+        )
+        g1, g2 = tg.snapshot_pair(f1, f2)
+        for got, fraction in ((g1, f1), (g2, f2)):
+            want = tg.snapshot_at_fraction(fraction)
+            assert got == want
+            assert layout(got) == layout(want)
+            assert got.is_weighted() == want.is_weighted()
+        g2.add_edge("new", "node")
+        assert "new" not in g1
+
+    def test_f2_out_of_range_is_refused(self):
+        tg = TemporalGraph([(0, 1, 2)])
+        with pytest.raises(ValueError, match="fraction"):
+            tg.snapshot_pair(0.5, 1.5)

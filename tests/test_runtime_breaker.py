@@ -1,5 +1,7 @@
 """Circuit breaker: pinned seeded transition sequences and round-trips."""
 
+import random
+
 import pytest
 
 from repro.resilience import capture_events
@@ -217,6 +219,25 @@ class TestCheckpointRoundTrip:
         assert from_legacy.to_payload() == from_current.to_payload()
         assert from_legacy.transitions == from_current.transitions
 
+    @pytest.mark.parametrize("draws", [0, 1, 311, 312, 313, 624])
+    def test_schema_1_payload_restores_at_every_twist_position(self, draws):
+        """Draw counts on both sides of the generator's 312-draw
+        regeneration: the search finds the exact count at each."""
+        written = CircuitBreaker(failure_threshold=1, seed=9)
+        written.restore(dict(written.to_payload(), draws=draws))
+        version, internal, gauss = written._rng.getstate()
+        legacy = {
+            key: value for key, value in written.to_payload().items()
+            if key not in ("seed", "draws")
+        }
+        legacy.update(schema=1, rng=[version, list(internal), gauss])
+        restored = CircuitBreaker(failure_threshold=1, seed=9)
+        restored.restore(legacy)
+        assert restored.to_payload()["draws"] == draws
+        assert restored._rng.getstate() == written._rng.getstate()
+        tape = "fsxfxxsfxsffxxxxf" * 2
+        assert drive(restored, tape) == drive(written, tape)
+
     def test_schema_1_payload_of_another_seed_is_rejected(self):
         breaker = CircuitBreaker(failure_threshold=1, seed=9)
         drive(breaker, "f")
@@ -225,6 +246,24 @@ class TestCheckpointRoundTrip:
                       rng=[version, list(internal), gauss])
         with pytest.raises(ValueError, match="seed 10"):
             CircuitBreaker(failure_threshold=1, seed=10).restore(legacy)
+
+    def test_another_seed_compares_one_state_per_twist(self, monkeypatch):
+        """Refusing a foreign payload compares the generator state only
+        at the draw counts of the stored position: 211 of 65,537."""
+        from repro.runtime import breaker as breaker_module
+
+        compared = []
+
+        class CountingRandom(random.Random):
+            def getstate(self):
+                compared.append(None)
+                return super().getstate()
+
+        version, internal, gauss = random.Random(9).getstate()
+        monkeypatch.setattr(breaker_module.random, "Random", CountingRandom)
+        with pytest.raises(ValueError, match="seed 10"):
+            breaker_module._draws_to(10, [version, list(internal), gauss])
+        assert len(compared) == (1 << 16) // 312 + 1
 
     def test_schema_mismatch_rejected(self):
         breaker = CircuitBreaker(seed=0)

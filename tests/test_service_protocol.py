@@ -88,6 +88,24 @@ class TestCanonicalEncoding:
         r2 = Request(verb="topk", args={"k": 6})
         assert r1.key != r2.key
 
+    def test_a_parsed_request_encodes_its_key_once(self, monkeypatch):
+        """Admission, the cache and settlement each read the key; one
+        request encodes its args once."""
+        from repro.service import protocol
+
+        encoded = []
+
+        def counting(args):
+            encoded.append(args)
+            return canonical_args(args)
+
+        monkeypatch.setattr(protocol, "canonical_args", counting)
+        request = parse_request('{"verb":"node","args":{"u":1,"k":2}}')
+        keys = {request.key for _ in range(6)}
+        assert keys == {("node", '{"k":2,"u":1}')}
+        assert len(encoded) == 1
+        assert request == Request(verb="node", args={"u": 1, "k": 2})
+
 
 class TestResponses:
     def test_response_envelope(self):
