@@ -3,8 +3,8 @@
 Unlike the experiment benches (one pedantic round around a whole paper
 artefact), these use pytest-benchmark's statistical sampling: they are
 the operations whose per-call cost determines how far the library scales
-— the SSSP unit the budget counts, ground-truth streaming, greedy
-covering, and the two selector archetypes.
+— loading a stream, the SSSP unit the budget counts, ground-truth
+streaming, greedy covering, and the two selector archetypes.
 """
 
 import numpy as np
@@ -14,7 +14,8 @@ from repro.core.budget import SPBudget
 from repro.core.cover import greedy_vertex_cover
 from repro.core.pairgraph import PairGraph
 from repro.core.pairs import converging_pairs_at_threshold, delta_histogram
-from repro.datasets import eval_snapshots, load
+from repro.datasets import EVAL_SPLIT, eval_snapshots, load
+from repro.datasets.io import read_edge_stream, write_edge_stream
 from repro.graph.traversal import bfs_distances
 from repro.selection import get_selector
 
@@ -23,6 +24,18 @@ from repro.selection import get_selector
 def snapshot_pair():
     tg = load("facebook", scale=0.4)
     return eval_snapshots(tg)
+
+
+def test_read_edge_stream(benchmark, tmp_path):
+    """The load layer: read a stream file, then cut its snapshot pair."""
+    path = tmp_path / "facebook.tsv"
+    write_edge_stream(load("facebook", scale=1.0), path)
+
+    def run():
+        return read_edge_stream(path).snapshot_pair(*EVAL_SPLIT)
+
+    g1, g2 = benchmark(run)
+    assert g1.num_edges < g2.num_edges
 
 
 def test_bfs_single_source(benchmark, snapshot_pair):

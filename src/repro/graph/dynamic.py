@@ -28,20 +28,30 @@ the boundary.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import eq, gt
+from typing import (
+    Any,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.graph.graph import Graph
 
 Node = Hashable
 
 
-@dataclass(frozen=True, order=True)
-class EdgeEvent:
+class EdgeEvent(NamedTuple):
     """A single timestamped undirected edge insertion.
 
-    Ordering is by ``time`` first (then endpoints, for determinism), so a
-    sorted list of events is a valid stream.
+    A named tuple ``(time, u, v, weight)``: ordering is by ``time`` first
+    (then endpoints, for determinism), so a sorted list of events is a
+    valid stream, and an event equals the plain tuple of its fields.
     """
 
     time: float
@@ -111,6 +121,27 @@ class TemporalGraph:
     def add_edge(self, time: float, u: Node, v: Node, weight: float = 1.0) -> None:
         """Convenience wrapper around :meth:`add_event`."""
         self.add_event(EdgeEvent(time=time, u=u, v=v, weight=weight))
+
+    @classmethod
+    def from_columns(
+        cls,
+        times: Sequence[float],
+        us: Sequence[Node],
+        vs: Sequence[Node],
+        weights: Sequence[float],
+    ) -> "TemporalGraph":
+        """The stream that :meth:`add_edge` over the rows of the columns
+        builds, in bulk: same events, same order, same self-loop error."""
+        if not len(times) == len(us) == len(vs) == len(weights):
+            raise ValueError("columns differ in length")
+        if any(map(eq, us, vs)):
+            time, u = next((t, u) for t, u, v in zip(times, us, vs) if u == v)
+            raise ValueError(f"self loop at time {time}: {u!r}")
+        temporal = cls()
+        temporal._events = list(map(EdgeEvent, times, us, vs, weights))
+        # add_event marks a stream unsorted when a time steps back.
+        temporal._sorted = not any(map(gt, times, times[1:]))
+        return temporal
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
@@ -210,26 +241,25 @@ class TemporalGraph:
         ``start .. cut − 1``."""
         self._ensure_sorted()
         return apply_events(
-            Graph() if graph is None else graph,
-            ((ev.u, ev.v, ev.weight) for ev in self._events[start:cut]),
+            Graph() if graph is None else graph, self._events[start:cut]
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TemporalGraph(events={len(self._events)})"
 
 
-def apply_events(
-    graph: Graph, events: Iterable[Tuple[Node, Node, float]]
-) -> Graph:
-    """Apply ``(u, v, weight)`` events to ``graph`` in order; returns it.
+def apply_events(graph: Graph, events: Iterable[Sequence[Any]]) -> Graph:
+    """Apply ``(time, u, v, weight)`` rows to ``graph`` in order; returns it.
 
-    The stream's one event rule, shared by every snapshot builder:
-    materialising a prefix into an empty graph, or extending a copy of
-    an earlier snapshot by the events after it, gives the same graph,
-    down to node and neighbour order.
+    Rows are :class:`EdgeEvent` records or the runtime's lists of the
+    same four fields.  The stream's one event rule, shared by every
+    snapshot builder: materialising a prefix into an empty graph, or
+    extending a copy of an earlier snapshot by the events after it,
+    gives the same graph, down to node and neighbour order.
     """
     adj = graph.adjacency_map()
-    for u, v, weight in events:
+    add_edge = graph.add_edge
+    for _time, u, v, weight in events:
         nbrs = adj.get(u)
         if weight <= 0:
             # Deletion events remove the edge if present (endpoints
@@ -242,5 +272,5 @@ def apply_events(
             # graph keeps one edge and its first weight: a re-insertion
             # never makes an existing edge heavier, so distances never
             # grow.
-            graph.add_edge(u, v, weight)
+            add_edge(u, v, weight)
     return graph

@@ -82,9 +82,15 @@ class SnapshotPair:
         if csr1 is None:
             csr1 = CSRGraph.from_graph(g1)
         csr2 = CSRGraph.from_graph(g2)
-        mapping = np.fromiter(
-            map(csr2.index.__getitem__, csr1.nodes), np.int64, len(csr1.nodes)
-        )
+        n1 = len(csr1.nodes)
+        if csr2.nodes[:n1] == csr1.nodes:
+            # G_t2 grown on a copy of G_t1 (snapshot_pair, stream
+            # windows) lists G_t1's nodes first.
+            mapping = np.arange(n1, dtype=np.int64)
+        else:
+            mapping = np.fromiter(
+                map(csr2.index.__getitem__, csr1.nodes), np.int64, n1
+            )
         return cls(g1, g2, False, csr1.nodes, csr1.index, csr1, csr2, mapping)
 
     @classmethod

@@ -205,12 +205,7 @@ class RuntimeReport:
 
 def _materialise(rows: Sequence[EventRow]) -> Graph:
     """The graph aggregating ``rows`` (same semantics as TemporalGraph)."""
-    return _extend(Graph(), rows)
-
-
-def _extend(graph: Graph, rows: Sequence[EventRow]) -> Graph:
-    """``graph`` with ``rows`` applied in place, by the stream's event rule."""
-    return apply_events(graph, ((row[1], row[2], row[3]) for row in rows))
+    return apply_events(Graph(), rows)
 
 
 def _window_pair(
@@ -315,9 +310,7 @@ class StreamRuntime:
             self.directory, fsync=fsync, chaos=self._chaos
         )
         self.store = CheckpointStore(self.directory / "checkpoints")
-        self._source_rows: List[EventRow] = [
-            [ev.time, ev.u, ev.v, ev.weight] for ev in source.events()
-        ]
+        self._source_rows: List[EventRow] = list(map(list, source.events()))
         self.consumed = 0
         self._events_digest = hashlib.sha256()
         self.windows: List[WindowResult] = []
@@ -614,7 +607,9 @@ class StreamRuntime:
             return kept.g1, kept.g2
         window = self.windows[index]
         g1 = _materialise(self._source_rows[:window.start])
-        g2 = _extend(g1.copy(), self._source_rows[window.start:window.end])
+        g2 = apply_events(
+            g1.copy(), self._source_rows[window.start:window.end]
+        )
         if index == len(self.windows) - 1:
             self._kept = _KeptWindow(index, g1, g2)
         return g1, g2
@@ -656,7 +651,7 @@ class StreamRuntime:
                 previous = kept.pair  # not a repaired copy of G_t2
         else:
             g1 = _materialise(self._source_rows[:start])
-        g2 = _extend(g1.copy(), self._source_rows[start:end])
+        g2 = apply_events(g1.copy(), self._source_rows[start:end])
         # The breaker is consulted exactly once per window, outside the
         # supervised attempt, so restarts cannot skew its schedule.
         try_direct = self.breaker.allow()

@@ -198,6 +198,25 @@ class TestWriteGuards:
             write_edge_stream(tg, path)
         assert not path.exists()
 
+    def test_ids_that_read_back_as_one_node_are_rejected(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        tg = TemporalGraph([(0, "7", 1), (1, 7, 2), (2, "007", 3)])
+        with pytest.raises(ValueError, match=r"'7' and 7 would both read"):
+            write_edge_stream(tg, path)
+        assert not path.exists()
+        padded = TemporalGraph([(0, "a", 7), (1, "007", "b")])
+        with pytest.raises(ValueError, match=r"7 and '007'"):
+            write_edge_stream(padded, path)
+        assert not path.exists()
+
+    def test_a_lone_numeric_string_id_still_writes(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        write_edge_stream(TemporalGraph([(0, "7", "a"), (1, 8, "a")]), path)
+        back = read_edge_stream(path)
+        assert [ev.endpoints() for ev in back.events()] == [
+            (7, "a"), (8, "a")
+        ]
+
     def test_spaces_in_node_ids_roundtrip(self, tmp_path):
         tg = TemporalGraph([(0, "alice smith", "bob jones")])
         path = tmp_path / "s.tsv"

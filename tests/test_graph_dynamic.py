@@ -1,10 +1,15 @@
 """Unit tests for repro.graph.dynamic (EdgeEvent / TemporalGraph)."""
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.dynamic import EdgeEvent, TemporalGraph
+from repro.graph.graph import Graph
+from repro.graph.pair import SnapshotPair
 
 
 class TestEdgeEvent:
@@ -20,6 +25,62 @@ class TestEdgeEvent:
         ev = EdgeEvent(0, 1, 2)
         with pytest.raises(AttributeError):
             ev.time = 9
+
+
+class TestEdgeEventRecord:
+    """What callers of the record rely on: pickling, hashing and equality
+    among events, defaults, and a stable sort by time."""
+
+    def test_pickle_round_trip(self):
+        for ev in (EdgeEvent(1.5, "a", 2, 0.5), EdgeEvent(0, 1, 2)):
+            back = pickle.loads(pickle.dumps(ev))
+            assert back == ev
+            assert type(back) is EdgeEvent
+            assert back.is_deletion == ev.is_deletion
+
+    def test_equal_events_hash_alike(self):
+        a, b = EdgeEvent(1.0, "a", "b", 2.0), EdgeEvent(1, "a", "b", 2)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, EdgeEvent(1.0, "b", "a", 2.0)}) == 2
+        assert EdgeEvent(1.0, "a", "b") != EdgeEvent(1.0, "a", "b", 2.0)
+
+    def test_defaults(self):
+        ev = EdgeEvent(3.0)
+        assert (ev.u, ev.v, ev.weight) == (None, None, 1.0)
+
+    def test_stable_sort_of_a_mixed_time_stream(self):
+        events = [EdgeEvent(2, "x", 1), EdgeEvent(1, 5, 6),
+                  EdgeEvent(2, 0, "y"), EdgeEvent(1, "a", "b")]
+        by_time = sorted(events, key=lambda ev: ev.time)
+        assert by_time == [events[1], events[3], events[0], events[2]]
+        assert list(TemporalGraph(events).events()) == by_time
+
+    def test_an_event_is_the_tuple_of_its_fields(self):
+        ev = EdgeEvent(1.0, "a", "b", 2.0)
+        assert ev == (1.0, "a", "b", 2.0)
+        time, u, v, weight = ev
+        assert (time, u, v, weight) == (1.0, "a", "b", 2.0)
+
+
+class TestFromColumns:
+    def test_equals_add_edge_row_by_row(self):
+        rows = [(2.0, 1, "a", 1.0), (1.0, "a", 3, 0.0), (1.0, 4, 5, 2.0)]
+        one_by_one = TemporalGraph()
+        for row in rows:
+            one_by_one.add_edge(*row)
+        bulk = TemporalGraph.from_columns(*map(list, zip(*rows)))
+        assert bulk.events() == one_by_one.events()
+        assert bulk.snapshot() == one_by_one.snapshot()
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            TemporalGraph.from_columns([0.0, 1.0], [1, 2], [2, 3], [1.0])
+
+    def test_self_loop_rejected_as_add_event_does(self):
+        with pytest.raises(ValueError, match=r"self loop at time 1\.0: 'b'"):
+            TemporalGraph.from_columns(
+                [0.0, 1.0], [1, "b"], [2, "b"], [1.0, 1.0]
+            )
 
 
 class TestConstruction:
@@ -213,3 +274,37 @@ class TestSnapshotPairExtendsG1:
         tg = TemporalGraph([(0, 1, 2)])
         with pytest.raises(ValueError, match="fraction"):
             tg.snapshot_pair(0.5, 1.5)
+
+
+class TestSnapshotPairMapping:
+    """``SnapshotPair.mapping`` takes each t1 index to the same node's t2
+    index, whichever order ``G_t2`` lists its nodes in."""
+
+    @staticmethod
+    def looked_up(pair):
+        return [pair.csr2.index[u] for u in pair.csr1.nodes]
+
+    @settings(max_examples=100, deadline=None)
+    @given(events=streams, f1=st.floats(0, 1))
+    def test_grown_and_reordered_pairs(self, events, f1):
+        tg = TemporalGraph(
+            (t, u, v, min(w, 1.0)) for t, (u, v, w) in enumerate(events)
+        )
+        g1, g2 = tg.snapshot_pair(f1)
+        grown = SnapshotPair.from_graphs(g1, g2)
+        assert grown.mapping.dtype == np.int64
+        assert grown.mapping.tolist() == self.looked_up(grown)
+        assert grown.mapping.tolist() == list(range(len(grown.nodes)))
+        reordered = Graph()
+        for u in reversed(list(g2.nodes())):
+            reordered.add_node(u)
+        reordered.add_edges_from(reversed(list(g2.edges())))
+        pair = SnapshotPair.from_graphs(g1, reordered)
+        assert pair.mapping.dtype == np.int64
+        assert pair.mapping.tolist() == self.looked_up(pair)
+
+    def test_another_node_order_is_looked_up(self):
+        g1 = Graph([(0, 1), (1, 2), ("a", 2)])
+        g2 = Graph([(2, "a"), ("b", 1), (1, 0), (2, 1)])
+        pair = SnapshotPair.from_graphs(g1, g2)
+        assert pair.mapping.tolist() == self.looked_up(pair) == [4, 3, 0, 1]
